@@ -1,16 +1,15 @@
 // Package netrun executes blackboard protocols as concurrent networked
-// systems: each player runs on its own goroutine behind a transport link,
-// a coordinator drives the schedule, and a seeded fault model
-// (internal/faults) can delay, drop, duplicate or corrupt frames and crash
-// players — while the board-level transcript stays bit-identical to the
-// sequential blackboard.Run.
+// systems: the coordinator and every player run on their own goroutines,
+// wired by a Topology of physical links created by a Transport, and a
+// seeded fault model (internal/faults) can delay, drop, duplicate or
+// corrupt frames and crash players — while the board-level transcript
+// stays bit-identical to the sequential blackboard.Run.
 //
 // # Architecture
 //
-// The coordinator owns the canonical board through a blackboard.Stepper
-// and talks to each player over a Link pair created by a Transport. Every
-// player mirrors the board in a replica, kept in sync by SYNC frames the
-// coordinator broadcasts after each delivery. One turn is a ping-pong:
+// The coordinator owns the canonical board through a blackboard.Stepper.
+// In broadcast delivery every player mirrors the board in a replica, kept
+// in sync by SYNC frames after each delivery. One turn is a ping-pong:
 //
 //	coordinator                       player s
 //	  Next() -> s
@@ -18,26 +17,32 @@
 //	  Deliver(msg)       ◀──────────  MSG(player, bits)
 //	  SYNC(msg) ─────▶ every player appends to its replica
 //
-// Frames ride a stop-and-wait ARQ (wire.go): sequence numbers, CRC32
-// checksums, acknowledgements, per-attempt timeouts with exponential
-// backoff and a bounded retry budget. Every recoverable fault — dropped,
-// duplicated, corrupted or delayed frames — is repaired below the protocol
-// layer, so the board transcript, its total bit count and the protocol
-// output are a pure function of the protocol inputs, never of the fault
-// mix. Only crashes are unrecoverable: a crashed player yields a typed
-// CrashError alongside the partial Result.
+// The default topology is the Star — one link per player, all routes
+// through the coordinator — which is the wiring of both the shared
+// blackboard and the coordinator model of the BEOPV lower bounds. Ring
+// and Mesh change where bits travel, never what the protocol says
+// (toporun.go).
+//
+// Frames ride a stop-and-wait ARQ on every physical link (wire.go):
+// sequence numbers, CRC32 checksums, acknowledgements, per-attempt
+// timeouts with exponential backoff and a bounded retry budget. Every
+// recoverable fault — dropped, duplicated, corrupted or delayed frames —
+// is repaired below the protocol layer, so the board transcript, its total
+// bit count and the protocol output are a pure function of the protocol
+// inputs, never of the fault mix. Only crashes are unrecoverable: a
+// crashed player yields a typed CrashError alongside the partial Result.
 //
 // # Determinism
 //
 // With link faults disabled the run is transcript-conformant: messages,
 // order, total bits and output are bit-identical to blackboard.Run on the
 // same inputs (the conformance tests pin this for the optimal DISJ
-// protocol, AND_k and the Lemma 7 sampler, on every transport). With
-// faults enabled, each link direction draws decisions from its own
-// rng.Source child stream (SplitN), acks bypass injection, and duplicates
-// are discarded without re-acking — making retransmission counts and wire
-// bits reproducible from Config.Seed whenever injected delays stay below
-// the ARQ timeout.
+// protocol, AND_k and the Lemma 7 sampler, on every transport and
+// topology). With faults enabled, each link direction draws decisions
+// from its own rng.Source child stream (SplitN), acks bypass injection,
+// and duplicates are discarded without re-acking — making retransmission
+// counts and wire bits reproducible from Config.Seed whenever injected
+// delays stay below the ARQ timeout.
 //
 // Protocol state shared between the scheduler and players (common in this
 // repository's protocols, which are built for the sequential runtime) is
@@ -48,7 +53,6 @@ package netrun
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"broadcastic/internal/blackboard"
@@ -59,22 +63,21 @@ import (
 )
 
 // Config tunes a networked run. The zero value is usable: in-process
-// channel transport, no faults, 250ms ARQ timeout, 12 retries.
+// channel transport, star topology, broadcast delivery, no faults, 250ms
+// ARQ timeout, 12 retries.
 type Config struct {
-	// Transport supplies the coordinator-player links (default: chan).
+	// Transport supplies one raw link per physical link (default: chan).
 	Transport Transport
-	// Topology, when non-nil, runs the protocol on the explicit
-	// message-passing topology runtime (toporun.go): nodes exchange routed
-	// frames over the topology's physical links, relays store-and-forward
-	// hop by hop, and per-link accounting lands under netrun.topo.<link>.*.
-	// nil selects the legacy shared-board runtime, whose behavior, stats
-	// and netrun.link.<player>.* metrics are unchanged.
+	// Topology wires the players and the coordinator (default: Star).
+	// Frames travel hop by hop over its physical links, relays
+	// store-and-forward, and per-link accounting lands in Stats.PerLink
+	// and under netrun.topo.<link>.*.
 	Topology Topology
-	// Delivery selects how delivered messages propagate on the topology
-	// path (ignored when Topology is nil): DeliverBroadcast mirrors every
-	// message to every replica (blackboard semantics), DeliverCoordinator
-	// keeps them at the hub (message-passing semantics — players never see
-	// each other's messages, as in the coordinator model lower bounds).
+	// Delivery selects how delivered messages propagate: DeliverBroadcast
+	// mirrors every message to every replica (blackboard semantics),
+	// DeliverCoordinator keeps them at the hub (message-passing semantics —
+	// players never see each other's messages, as in the coordinator model
+	// lower bounds).
 	Delivery DeliveryMode
 	// Faults is the seeded failure mix (zero value: none).
 	Faults faults.Plan
@@ -88,14 +91,12 @@ type Config struct {
 	MaxRetries int
 	// Limits bound the protocol exactly as in blackboard.Run.
 	Limits blackboard.Limits
-	// Recorder receives the run's telemetry (nil: disabled). It replaces
-	// the callback Hooks of earlier revisions, which fired only on the
-	// happy path; the Recorder is driven from the exact sites that update
-	// the wire-level counters — every retransmission trigger (known drop,
-	// NACK, timeout), every discarded frame, every injected fault — so its
-	// counters always match the returned Stats. Implementations must be
-	// safe for concurrent use; recording never changes transcripts, bit
-	// counts or outcomes.
+	// Recorder receives the run's telemetry (nil: disabled). It is driven
+	// from the exact sites that update the wire-level counters — every
+	// retransmission trigger (known drop, NACK, timeout), every discarded
+	// frame, every injected fault — so its counters always match the
+	// returned Stats. Implementations must be safe for concurrent use;
+	// recording never changes transcripts, bit counts or outcomes.
 	Recorder telemetry.Recorder
 	// Causal, when enabled, attaches the run's wire-level story to a
 	// trace: one netrun.hop span per delivered application frame, a
@@ -106,36 +107,55 @@ type Config struct {
 	Causal causal.Context
 }
 
-// PlayerStats is per-player link and turn telemetry.
+// DeliveryMode selects how delivered messages propagate.
+type DeliveryMode int
+
+const (
+	// DeliverBroadcast mirrors every delivered message to every player's
+	// replica — blackboard semantics over explicit links.
+	DeliverBroadcast DeliveryMode = iota
+	// DeliverCoordinator keeps delivered messages at the hub: players
+	// never observe each other's messages, as in the coordinator model.
+	DeliverCoordinator
+)
+
+// String implements fmt.Stringer.
+func (m DeliveryMode) String() string {
+	switch m {
+	case DeliverBroadcast:
+		return "broadcast"
+	case DeliverCoordinator:
+		return "coordinator"
+	}
+	return fmt.Sprintf("DeliveryMode(%d)", int(m))
+}
+
+// ParseDelivery maps a CLI delivery-mode name to the constant.
+func ParseDelivery(name string) (DeliveryMode, error) {
+	switch name {
+	case "", "broadcast":
+		return DeliverBroadcast, nil
+	case "coordinator":
+		return DeliverCoordinator, nil
+	}
+	return 0, fmt.Errorf("netrun: unknown delivery mode %q (want broadcast or coordinator)", name)
+}
+
+// PlayerStats is the coordinator's view of one player's turns.
 type PlayerStats struct {
 	// Turns the player was asked to speak.
 	Turns int
-	// Retries is the retransmission count across both link directions.
-	Retries int64
-	// WireBits counts every bit put on (or dropped onto) the player's link,
-	// both directions, including headers, acks and retransmissions.
-	WireBits int64
 	// Latency is the total wall-clock time of the player's turns.
 	Latency time.Duration
-	// Faults tallies injected link faults on both directions.
-	Faults faults.Counts
-	// BadFrames counts frames discarded for checksum or layout failure.
-	BadFrames int64
-	// DupFrames counts duplicate frames discarded by sequence check.
-	DupFrames int64
 }
 
 // Stats aggregates a run's telemetry.
 type Stats struct {
-	// PerPlayer breaks the wire traffic down by player. On the legacy
-	// shared-board path every player owns exactly one link, so the wire
-	// fields double as per-link accounting; on the topology path links are
-	// not player-owned (PerLink carries the wire view) and PerPlayer holds
-	// the coordinator-side Turns and Latency only.
+	// PerPlayer holds each player's turn count and latency.
 	PerPlayer []PlayerStats
-	// PerLink breaks the wire traffic down by physical link on the
-	// topology path (nil on the legacy path). The per-link WireBits sum to
-	// Stats.WireBits exactly.
+	// PerLink breaks the wire traffic down by physical link, in
+	// Topology.Links order; on the star, link i joins player i to the
+	// coordinator. The per-link WireBits sum to Stats.WireBits exactly.
 	PerLink []LinkStats
 	// WireBits is the total bits placed on all links (headers, acks,
 	// retransmissions and dropped frames included).
@@ -147,14 +167,12 @@ type Stats struct {
 	Faults faults.Counts
 	// Transport names the transport used.
 	Transport string
-	// Topology names the topology on the topology path ("" on the legacy
-	// shared-board path).
+	// Topology names the topology used.
 	Topology string
 }
 
-// LinkStats is the wire accounting of one physical link on the topology
-// path, both directions summed — the same contract as PlayerStats on the
-// legacy path, keyed by link instead of player.
+// LinkStats is the wire accounting of one physical link, both directions
+// summed.
 type LinkStats struct {
 	// Link names the physical link by the node pair it joins.
 	Link LinkID
@@ -201,12 +219,14 @@ func (e *CrashError) Is(target error) bool { return target == ErrPlayerCrashed }
 const (
 	defaultTimeout    = 250 * time.Millisecond
 	defaultMaxRetries = 12
+	// maxTopoNodes bounds node ids to one envelope byte.
+	maxTopoNodes = 256
 )
 
-// Run executes the protocol concurrently over the configured transport.
-// With faults disabled the returned board is bit-identical to the one
-// blackboard.Run produces for the same scheduler, players, public source
-// and limits.
+// Run executes the protocol concurrently over the configured transport and
+// topology. With faults disabled the returned board is bit-identical to
+// the one blackboard.Run produces for the same scheduler, players, public
+// source and limits.
 func Run(sched blackboard.Scheduler, players []blackboard.Player, public *rng.Source, cfg Config) (*Result, error) {
 	k := len(players)
 	if k == 0 {
@@ -217,269 +237,51 @@ func Run(sched blackboard.Scheduler, players []blackboard.Player, public *rng.So
 			return nil, fmt.Errorf("netrun: player %d is nil", i)
 		}
 	}
+	if k+1 > maxTopoNodes {
+		return nil, fmt.Errorf("netrun: at most %d players supported, got %d", maxTopoNodes-1, k)
+	}
 	if err := cfg.Faults.Validate(); err != nil {
 		return nil, err
 	}
+	if cfg.Topology == nil {
+		cfg.Topology = Star{}
+	}
+	topo := cfg.Topology
 	for player := range cfg.Faults.CrashTurns {
 		if player >= k {
 			return nil, fmt.Errorf("netrun: crash scheduled for player %d but run has %d players", player, k)
 		}
 	}
-	if cfg.Topology != nil {
-		return runTopology(sched, players, public, cfg)
-	}
-	if cfg.Delivery != DeliverBroadcast {
-		return nil, fmt.Errorf("netrun: delivery mode %v requires a topology", cfg.Delivery)
-	}
-	transport := cfg.Transport
-	if transport == nil {
-		transport = NewChanTransport()
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = defaultTimeout
-	}
-	maxRetries := cfg.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = defaultMaxRetries
-	}
-
-	st, err := blackboard.NewStepper(sched, k, public, cfg.Limits)
-	if err != nil {
-		return nil, err
-	}
-
-	coordLinks, playerLinks, err := transport.Open(k)
-	if err != nil {
-		return nil, err
-	}
-
-	// One fault stream per link direction: coordinator->player i draws from
-	// child 2i, player i->coordinator from child 2i+1. Injectors exist only
-	// when link faults are on, so a fault-free run consumes no randomness.
-	var injCoord, injPlayer []*faults.Injector
-	if cfg.Faults.Enabled() {
-		streams := rng.New(cfg.Seed).SplitN(2 * k)
-		injCoord = make([]*faults.Injector, k)
-		injPlayer = make([]*faults.Injector, k)
-		for i := 0; i < k; i++ {
-			injCoord[i] = cfg.Faults.NewInjector(streams[2*i])
-			injPlayer[i] = cfg.Faults.NewInjector(streams[2*i+1])
-		}
-	} else {
-		injCoord = make([]*faults.Injector, k)
-		injPlayer = make([]*faults.Injector, k)
-	}
-
-	st.SetRecorder(cfg.Recorder)
-
-	// Both directions of player i's link record under the same link index:
-	// the per-link breakdown mirrors Stats.PerPlayer, which also sums the
-	// two directions.
-	coordEps := make([]*endpoint, k)
-	playerEps := make([]*endpoint, k)
-	for i := 0; i < k; i++ {
-		coordEps[i] = newEndpoint(coordLinks[i], injCoord[i], timeout, maxRetries, cfg.Recorder, cfg.Causal, telemetry.NetrunLink, i)
-		playerEps[i] = newEndpoint(playerLinks[i], injPlayer[i], timeout, maxRetries, cfg.Recorder, cfg.Causal, telemetry.NetrunLink, i)
-	}
-	closeAll := func() {
-		for i := 0; i < k; i++ {
-			coordEps[i].close()
-			playerEps[i].close()
+	if len(cfg.Faults.CrashTurns) > 0 {
+		if _, ok := topo.(Star); !ok {
+			return nil, fmt.Errorf("netrun: crash faults are supported on the star topology only (a dead relay on %s severs other players' routes)", topo.Name())
 		}
 	}
-
-	// runMu serializes all protocol-state access: Stepper calls on the
-	// coordinator and Speak on player goroutines. The turn discipline means
-	// there is never contention; the mutex exists for the happens-before
-	// edges (shared scheduler/player state, shared public rng) that raw
-	// socket I/O does not provide.
-	var runMu sync.Mutex
-
-	// Replicas share the canonical public source: public randomness is a
-	// shared resource in the broadcast model, and the ping-pong discipline
-	// (under runMu) makes every draw happen in sequential order.
-	replicas := make([]*blackboard.Board, k)
-	for i := 0; i < k; i++ {
-		replica, err := blackboard.NewBoard(k, public)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		replicas[i] = replica
+	if cfg.Delivery != DeliverBroadcast && cfg.Delivery != DeliverCoordinator {
+		return nil, fmt.Errorf("netrun: unknown delivery mode %d", cfg.Delivery)
 	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			playerLoop(playerEps[i], players[i], replicas[i], &runMu, cfg.Faults.CrashTurn(i))
-		}(i)
+	links := topo.Links(k)
+	if len(links) == 0 {
+		return nil, fmt.Errorf("netrun: topology %s has no links for k=%d", topo.Name(), k)
 	}
-
-	// The coordinator may legitimately wait through the player's entire
-	// retransmission budget (drops on the player->coordinator direction),
-	// plus any injected delays, before a message arrives.
-	recvDeadline := time.Duration(maxRetries+1)*(8*timeout+cfg.Faults.MaxDelay) + timeout
-
-	stats := Stats{PerPlayer: make([]PlayerStats, k), Transport: transport.Name()}
-	finish := func(crashed []int) *Result {
-		closeAll()
-		wg.Wait()
-		for i := 0; i < k; i++ {
-			ps := &stats.PerPlayer[i]
-			ps.Retries = coordEps[i].stats.retries.Load() + playerEps[i].stats.retries.Load()
-			ps.WireBits = coordEps[i].stats.wireBits.Load() + playerEps[i].stats.wireBits.Load()
-			ps.BadFrames = coordEps[i].stats.badFrames.Load() + playerEps[i].stats.badFrames.Load()
-			ps.DupFrames = coordEps[i].stats.dupDropped.Load() + playerEps[i].stats.dupDropped.Load()
-			if injCoord[i] != nil {
-				ps.Faults.Add(injCoord[i].Counts())
-				ps.Faults.Add(injPlayer[i].Counts())
-			}
-			stats.WireBits += ps.WireBits
-			stats.Faults.Add(ps.Faults)
+	seen := make([]bool, (k+1)*(k+1))
+	for _, l := range links {
+		if l.A < 0 || l.B > k || l.A >= l.B {
+			return nil, fmt.Errorf("netrun: topology %s lists invalid link %v", topo.Name(), l)
 		}
-		stats.BoardBits = st.Board().TotalBits()
-		return &Result{Board: st.Board(), Stats: stats, Crashed: crashed}
+		if seen[l.A*(k+1)+l.B] {
+			return nil, fmt.Errorf("netrun: topology %s lists link %v twice", topo.Name(), l)
+		}
+		seen[l.A*(k+1)+l.B] = true
 	}
-	crash := func(player int, cause error) (*Result, error) {
-		telemetry.Count(cfg.Recorder, telemetry.NetrunCrashes, 1)
-		if cfg.Causal.Enabled() {
-			// A crash is the unrecoverable failure of the run: mark the
-			// instant and trigger the trace's flight-recorder auto-dump.
-			cfg.Causal.Fail(causal.NetrunCrash,
-				causal.Int("player", player), causal.String("error", cause.Error()))
-		}
-		res := finish([]int{player})
-		return res, &CrashError{Player: player, Cause: cause}
+	if cfg.Transport == nil {
+		cfg.Transport = NewChanTransport()
 	}
-
-	for {
-		runMu.Lock()
-		speaker, done, err := st.Next()
-		runMu.Unlock()
-		if err != nil {
-			closeAll()
-			wg.Wait()
-			return nil, err
-		}
-		if done {
-			return finish(nil), nil
-		}
-
-		turnStart := time.Now()
-		if err := coordEps[speaker].send(frameTurn, encodeTurnPayload(st.Board().NumMessages())); err != nil {
-			return crash(speaker, err)
-		}
-		in, err := coordEps[speaker].recv(recvDeadline)
-		if err != nil {
-			return crash(speaker, err)
-		}
-		switch in.kind {
-		case frameMsg:
-			// Delivered below.
-		case frameErr:
-			closeAll()
-			wg.Wait()
-			return nil, fmt.Errorf("netrun: player %d: %s", speaker, in.payload)
-		default:
-			closeAll()
-			wg.Wait()
-			return nil, fmt.Errorf("netrun: player %d sent unexpected frame kind %d", speaker, in.kind)
-		}
-		msg, err := decodeMessagePayload(in.payload)
-		if err != nil {
-			closeAll()
-			wg.Wait()
-			return nil, err
-		}
-
-		runMu.Lock()
-		err = st.Deliver(msg)
-		runMu.Unlock()
-		if err != nil {
-			closeAll()
-			wg.Wait()
-			return nil, err
-		}
-
-		// Broadcast the delivered message so every replica catches up before
-		// the next turn can reach any player.
-		syncPayload := encodeMessagePayload(msg)
-		for i := 0; i < k; i++ {
-			if err := coordEps[i].send(frameSync, syncPayload); err != nil {
-				return crash(i, err)
-			}
-		}
-
-		ps := &stats.PerPlayer[speaker]
-		ps.Turns++
-		latency := time.Since(turnStart)
-		ps.Latency += latency
-		if cfg.Recorder != nil {
-			cfg.Recorder.Count(telemetry.NetrunTurns, 1)
-			cfg.Recorder.Observe(telemetry.NetrunTurnNs, float64(latency))
-		}
+	if cfg.Timeout <= 0 {
+		cfg.Timeout = defaultTimeout
 	}
-}
-
-// playerLoop runs one player: it mirrors the board from SYNC frames,
-// speaks on TURN frames, and dies silently on its scheduled crash turn.
-// It exits when the link is severed (normal teardown closes the
-// coordinator side of every link).
-func playerLoop(ep *endpoint, player blackboard.Player, replica *blackboard.Board, runMu *sync.Mutex, crashTurn int) {
-	defer ep.close()
-	const idleDeadline = time.Hour // teardown closes the link; this is a backstop
-	turns := 0
-	fail := func(err error) {
-		ep.send(frameErr, []byte(err.Error()))
+	if cfg.MaxRetries <= 0 {
+		cfg.MaxRetries = defaultMaxRetries
 	}
-	for {
-		in, err := ep.recv(idleDeadline)
-		if err != nil {
-			return
-		}
-		switch in.kind {
-		case frameSync:
-			msg, err := decodeMessagePayload(in.payload)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := replica.Append(msg); err != nil {
-				fail(err)
-				return
-			}
-		case frameTurn:
-			if crashTurn >= 0 && turns >= crashTurn {
-				// Scheduled crash: vanish without a word. The coordinator
-				// notices via the dead link or the recv deadline.
-				return
-			}
-			turns++
-			want, err := decodeTurnPayload(in.payload)
-			if err != nil {
-				fail(err)
-				return
-			}
-			if replica.NumMessages() != want {
-				fail(fmt.Errorf("netrun: replica out of sync: %d messages, coordinator has %d", replica.NumMessages(), want))
-				return
-			}
-			runMu.Lock()
-			msg, err := player.Speak(replica)
-			runMu.Unlock()
-			if err != nil {
-				fail(err)
-				return
-			}
-			if err := ep.send(frameMsg, encodeMessagePayload(msg)); err != nil {
-				return
-			}
-		default:
-			fail(fmt.Errorf("netrun: unexpected frame kind %d", in.kind))
-			return
-		}
-	}
+	return run(sched, players, public, links, cfg)
 }

@@ -41,7 +41,7 @@ func netFingerprint(t *testing.T, p boardProtocol, public *rng.Source, cfg netru
 	cfg.Limits = p.Limits()
 	res, err := netrun.Run(p.Scheduler(), p.Players(), public, cfg)
 	if err != nil {
-		t.Fatalf("networked run (%s): %v", cfg.Transport.Name(), err)
+		t.Fatalf("networked run: %v", err)
 	}
 	return res
 }
@@ -307,9 +307,9 @@ func TestFaultReproducibility(t *testing.T) {
 	if a.Stats.Faults != b.Stats.Faults {
 		t.Fatalf("fault tallies differ: %v vs %v", a.Stats.Faults, b.Stats.Faults)
 	}
-	for i := range a.Stats.PerPlayer {
-		if a.Stats.PerPlayer[i].Retries != b.Stats.PerPlayer[i].Retries {
-			t.Fatalf("player %d retries differ: %d vs %d", i, a.Stats.PerPlayer[i].Retries, b.Stats.PerPlayer[i].Retries)
+	for i := range a.Stats.PerLink {
+		if a.Stats.PerLink[i].Retries != b.Stats.PerLink[i].Retries {
+			t.Fatalf("link %d retries differ: %d vs %d", i, a.Stats.PerLink[i].Retries, b.Stats.PerLink[i].Retries)
 		}
 	}
 	// A different seed draws a different fault sequence (while the board
@@ -329,15 +329,15 @@ func TestFaultReproducibility(t *testing.T) {
 	}
 }
 
-// recordedFaults sums the per-link per-kind fault counters of a run with k
-// links into a faults.Counts for comparison against Stats.
+// recordedFaults sums the per-link per-kind fault counters of a star run
+// with k links into a faults.Counts for comparison against Stats.
 func recordedFaults(rec *telemetry.Collector, k int) faults.Counts {
 	var c faults.Counts
 	for i := 0; i < k; i++ {
-		c.Drops += int(rec.Counter(telemetry.Indexed(telemetry.NetrunLink, i, "faults.drop")))
-		c.Duplicates += int(rec.Counter(telemetry.Indexed(telemetry.NetrunLink, i, "faults.dup")))
-		c.Corruptions += int(rec.Counter(telemetry.Indexed(telemetry.NetrunLink, i, "faults.corrupt")))
-		c.Delays += int(rec.Counter(telemetry.Indexed(telemetry.NetrunLink, i, "faults.delay")))
+		c.Drops += int(rec.Counter(telemetry.Indexed(telemetry.NetrunTopo, i, "faults.drop")))
+		c.Duplicates += int(rec.Counter(telemetry.Indexed(telemetry.NetrunTopo, i, "faults.dup")))
+		c.Corruptions += int(rec.Counter(telemetry.Indexed(telemetry.NetrunTopo, i, "faults.corrupt")))
+		c.Delays += int(rec.Counter(telemetry.Indexed(telemetry.NetrunTopo, i, "faults.delay")))
 	}
 	return c
 }
@@ -350,10 +350,10 @@ func recordedFaults(rec *telemetry.Collector, k int) faults.Counts {
 func assertRecorderMatchesStats(t *testing.T, rec *telemetry.Collector, res *netrun.Result, k int) {
 	t.Helper()
 	var retries, badFrames, dupFrames int64
-	for _, ps := range res.Stats.PerPlayer {
-		retries += ps.Retries
-		badFrames += ps.BadFrames
-		dupFrames += ps.DupFrames
+	for _, ls := range res.Stats.PerLink {
+		retries += ls.Retries
+		badFrames += ls.BadFrames
+		dupFrames += ls.DupFrames
 	}
 	if got := rec.Counter(telemetry.NetrunRetries); got != retries {
 		t.Errorf("recorded retries %d, stats %d", got, retries)
@@ -451,8 +451,8 @@ func TestRecorderMatchesStatsOnRepairPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	var retries int64
-	for _, ps := range res.Stats.PerPlayer {
-		retries += ps.Retries
+	for _, ls := range res.Stats.PerLink {
+		retries += ls.Retries
 	}
 	if retries == 0 {
 		t.Fatal("fault mix produced no retransmissions; test is vacuous")

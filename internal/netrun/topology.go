@@ -43,10 +43,11 @@ type Topology interface {
 	Gossip() bool
 }
 
-// Star is the coordinator/hub topology: one link per player, all routes
-// through the hub. It is the explicit-topology twin of the legacy
-// shared-board wiring — same link set, same frame flow — plus the routing
-// envelope, so conformance across topologies can be pinned against it.
+// Star is the coordinator/hub topology and the default: one link per
+// player, all routes through the hub. Every route is at most two hops and
+// every hop ends at the hub or at the frame's destination, so no star
+// frame carries a routing envelope. It wires both the shared blackboard
+// (coordinator-echoed syncs) and the coordinator model.
 type Star struct{}
 
 // Name implements Topology.
@@ -159,19 +160,16 @@ func ParseTransport(name string) (Transport, error) {
 	return nil, fmt.Errorf("netrun: unknown transport %q (want chan, pipe or tcp)", name)
 }
 
-// ParseTopology maps a CLI topology name to a Topology. "board" (and "")
-// name the legacy shared-board runtime and return nil — the Config
-// encoding for "no explicit topology".
+// ParseTopology maps a CLI topology name to a Topology; "" names the
+// default, the star.
 func ParseTopology(name string) (Topology, error) {
 	switch name {
-	case "", "board":
-		return nil, nil
-	case "star":
+	case "", "star":
 		return Star{}, nil
 	case "ring":
 		return Ring{}, nil
 	case "mesh":
 		return Mesh{}, nil
 	}
-	return nil, fmt.Errorf("netrun: unknown topology %q (want board, star, ring or mesh)", name)
+	return nil, fmt.Errorf("netrun: unknown topology %q (want star, ring or mesh)", name)
 }

@@ -364,10 +364,10 @@ func TestTopologyRecorderMatchesStats(t *testing.T) {
 			if got := rec.Counter(telemetry.NetrunWireBits); got != total || got != res.Stats.WireBits {
 				t.Errorf("recorded wire bits %d, per-link sum %d, stats %d", got, total, res.Stats.WireBits)
 			}
-			// The legacy per-player family must stay silent on the
-			// topology path: the two metric namespaces never mix.
-			if got := rec.Counter(telemetry.Indexed(telemetry.NetrunLink, 0, "wire_bits")); got != 0 {
-				t.Errorf("topology run recorded %d bits under the legacy netrun.link family", got)
+			// The retired per-player family must stay silent: netrun.topo
+			// is the only per-link namespace.
+			if got := rec.Counter("netrun.link.0.wire_bits"); got != 0 {
+				t.Errorf("run recorded %d bits under the retired netrun.link family", got)
 			}
 		})
 	}
@@ -434,14 +434,13 @@ func TestTopologyValidation(t *testing.T) {
 			t.Fatalf("ParseTopology(%q) = %v, %v", name, topo, err)
 		}
 	}
-	for _, name := range []string{"", "board"} {
-		topo, err := netrun.ParseTopology(name)
-		if err != nil || topo != nil {
-			t.Fatalf("ParseTopology(%q) = %v, %v (want nil, nil)", name, topo, err)
-		}
+	if topo, err := netrun.ParseTopology(""); err != nil || topo != (netrun.Star{}) {
+		t.Fatalf("ParseTopology(\"\") = %v, %v (want the star)", topo, err)
 	}
-	if _, err := netrun.ParseTopology("torus"); err == nil {
-		t.Fatal("unknown topology accepted")
+	for _, name := range []string{"torus", "board"} {
+		if _, err := netrun.ParseTopology(name); err == nil {
+			t.Fatalf("unknown topology %q accepted", name)
+		}
 	}
 	for _, tc := range []struct {
 		name string
@@ -456,13 +455,21 @@ func TestTopologyValidation(t *testing.T) {
 		t.Fatal("unknown delivery mode accepted")
 	}
 
-	// Delivery modes require a topology.
+	// Without a topology, coordinator delivery runs on the star; an
+	// unknown delivery mode is refused.
 	players := []blackboard.Player{blackboard.FuncPlayer(func(b *blackboard.Board) (blackboard.Message, error) {
 		return blackboard.Message{}, fmt.Errorf("never runs")
 	})}
 	sched := blackboard.FuncScheduler(func(b *blackboard.Board) (int, bool, error) { return 0, true, nil })
-	if _, err := netrun.Run(sched, players, nil, netrun.Config{Delivery: netrun.DeliverCoordinator}); err == nil {
-		t.Fatal("coordinator delivery without a topology accepted")
+	res, err := netrun.Run(sched, players, nil, netrun.Config{Delivery: netrun.DeliverCoordinator})
+	if err != nil {
+		t.Fatalf("coordinator delivery without a topology: %v", err)
+	}
+	if res.Stats.Topology != "star" {
+		t.Fatalf("run without a topology used %q, want star", res.Stats.Topology)
+	}
+	if _, err := netrun.Run(sched, players, nil, netrun.Config{Delivery: netrun.DeliveryMode(7)}); err == nil {
+		t.Fatal("unknown delivery mode accepted")
 	}
 
 	// Node ids must fit the one-byte envelope.

@@ -12,349 +12,291 @@ import (
 	"broadcastic/internal/telemetry/causal"
 )
 
-// This file is the explicit-topology runtime: the counterpart of the
-// shared-board loop in netrun.go for runs with Config.Topology set.
+// This file is the runtime behind Run: node wiring, routing, the
+// coordinator loop and the player loop.
 //
 // # Frame flow
 //
 // Every node (players 0..k-1 and the coordinator at id k) owns one ARQ
-// endpoint per incident physical link. Application frames travel inside
-// frameRouted envelopes ([src][dst][inner kind][inner payload]); a node
-// receiving an envelope addressed elsewhere forwards it to
-// Topology.NextHop — store-and-forward with per-hop reliability, so the
-// stop-and-wait ARQ, retry budgets and fault plans of wire.go apply to
-// each physical link exactly as they do to a player link on the legacy
-// path.
+// endpoint per incident physical link, and all of them deliver into the
+// node's one mailbox. A frame whose next hop is its destination travels
+// bare: the receiver takes its source from the link it came in on, so on
+// the star — and on every mesh route — no frame carries routing bytes. A
+// frame on a longer route travels inside a frameRouted envelope
+// ([src][dst][inner kind][inner payload]); each relay forwards it to
+// Topology.NextHop with full per-hop reliability, so the stop-and-wait
+// ARQ, retry budgets and fault plans of wire.go apply to every physical
+// link alike. A bare frame is always addressed to its receiver and is
+// never forwarded.
 //
 // # Ordering and determinism
 //
-// Each endpoint has exactly one receive loop, and forwarding preserves
-// arrival order per inbound link, so frames that share a route stay FIFO
-// end to end. Because the protocols are turn-based ping-pong, at most one
-// application conversation is in flight at a time and the sequence of
-// frames on every physical link — and therefore every injector draw and
-// wire-bit count — is a pure function of (protocol, topology, seed).
+// Each node has a single application goroutine. It handles the frames
+// addressed to it and forwards the rest in mailbox order, so frames that
+// share a route stay FIFO end to end and every outbound link carries the
+// frames of one goroutine in program order. Because the protocols are
+// turn-based ping-pong, at most one application conversation is in flight
+// at a time, and the sequence of frames on every physical link — and
+// therefore every injector draw and wire-bit count — is a pure function
+// of (protocol, topology, seed).
 //
-// Syncs carry the board index of their message (encodeIndexedSync): on
-// gossip topologies syncs from different speakers race, and the replica
-// buffers out-of-order arrivals to append in canonical board order. A
-// player announced as speaker first drains pending syncs until its
-// replica reaches the turn's message count.
+// Teardown keeps that true to the last bit. A send returns once its first
+// hop acked, so on multi-hop routes the final syncs may still be relayed
+// when the coordinator's loop ends. The coordinator therefore waits until
+// every replica has applied the final board (an in-process condition; no
+// frame is added to the wire), then closes every endpoint and joins every
+// read loop and node goroutine before it reads the counters.
 //
 // # Delivery modes
 //
 // DeliverBroadcast mirrors blackboard semantics: after each delivery the
-// message reaches every replica (coordinator-echoed SYNCs, or speaker
-// gossip on mesh). DeliverCoordinator is the message-passing model of the
-// BEOPV lower bounds: messages stop at the hub, replicas stay empty, and
-// players must speak from their private input alone — the mode the
-// coordinator-model DISJ protocol (internal/disj) is written for.
+// message reaches every replica, as coordinator-echoed SYNCs or, on
+// gossip topologies, as SYNCs the speaker sends each peer. Gossip syncs
+// from different speakers race, so they carry the message's board index
+// (encodeIndexedSync) and the replica buffers early arrivals; a player
+// announced as speaker first drains pending syncs until its replica
+// reaches the turn's message count. DeliverCoordinator is the
+// message-passing model of the BEOPV lower bounds: messages stop at the
+// hub, replicas stay empty, and players must speak from their private
+// input alone — the mode the coordinator-model DISJ protocol
+// (internal/disj) is written for.
 
-// DeliveryMode selects how delivered messages propagate on the topology
-// path.
-type DeliveryMode int
-
-const (
-	// DeliverBroadcast mirrors every delivered message to every player's
-	// replica — blackboard semantics over explicit links.
-	DeliverBroadcast DeliveryMode = iota
-	// DeliverCoordinator keeps delivered messages at the hub: players
-	// never observe each other's messages, as in the coordinator model.
-	DeliverCoordinator
-)
-
-// String implements fmt.Stringer.
-func (m DeliveryMode) String() string {
-	switch m {
-	case DeliverBroadcast:
-		return "broadcast"
-	case DeliverCoordinator:
-		return "coordinator"
-	}
-	return fmt.Sprintf("DeliveryMode(%d)", int(m))
-}
-
-// ParseDelivery maps a CLI delivery-mode name to the constant.
-func ParseDelivery(name string) (DeliveryMode, error) {
-	switch name {
-	case "", "broadcast":
-		return DeliverBroadcast, nil
-	case "coordinator":
-		return DeliverCoordinator, nil
-	}
-	return 0, fmt.Errorf("netrun: unknown delivery mode %q (want broadcast or coordinator)", name)
-}
-
-// maxTopoNodes bounds node ids to one envelope byte.
-const maxTopoNodes = 256
-
-// topoInboxCap buffers routed frames addressed to a node; generous so
-// relays never stall behind a busy application loop.
-const topoInboxCap = 1024
-
-// routedFrame is one application frame delivered to its destination node.
-type routedFrame struct {
-	src     int
-	kind    byte
-	payload []byte
-}
-
-// nodeLink is a node's sending side of one incident physical link. The
-// mutex serializes the node's application loop and its forwarders, which
-// may emit on the same outbound link.
-type nodeLink struct {
-	ep *endpoint
-	mu sync.Mutex
-}
-
-func (nl *nodeLink) send(kind byte, payload []byte) error {
-	nl.mu.Lock()
-	defer nl.mu.Unlock()
-	return nl.ep.send(kind, payload)
-}
-
-// topoNode is one participant: its id, its incident links keyed by
-// neighbor, and the inbox its receive loops deliver to.
-type topoNode struct {
-	id    int
-	links map[int]*nodeLink
-	inbox chan routedFrame
-}
-
-// topoRun holds the wiring of one topology run.
-type topoRun struct {
-	topo         Topology
-	k            int
-	nodes        []*topoNode
-	done         chan struct{}
+// runtime holds the wiring of one run.
+type runtime struct {
+	topo Topology
+	k    int
+	// boxes[id] is node id's mailbox.
+	boxes []*mailbox
+	// adj[a*(k+1)+b] is node a's endpoint on its link to node b (nil when
+	// a and b are not adjacent).
+	adj []*endpoint
+	// eps holds both endpoints of every link: eps[2l] at link l's higher
+	// node B, eps[2l+1] at its lower node A.
+	eps []*endpoint
+	// inj holds the fault injectors in eps order (nil entries when link
+	// faults are off).
+	inj          []*faults.Injector
 	recvDeadline time.Duration
+	settled      settle
 }
 
-// sendFrom routes one application frame from node n toward dst: wrap in
-// an envelope, hand it to the next hop's link, and let relays carry it on.
-func (r *topoRun) sendFrom(n *topoNode, dst int, kind byte, payload []byte) error {
-	next := r.topo.NextHop(r.k, n.id, dst)
-	nl, ok := n.links[next]
-	if !ok {
-		return fmt.Errorf("netrun: topology %s routes %d->%d via non-neighbor %d", r.topo.Name(), n.id, dst, next)
+// newRuntime opens one transport link per physical link and starts the
+// endpoints on both ends. On the star, link i is player i's link, and its
+// fault streams follow one convention for every topology: the direction
+// from the higher node B to the lower node A (coordinator to player)
+// draws child 2l of the run seed, A to B draws child 2l+1. An injector
+// exists only when link faults are on, so a fault-free run consumes no
+// randomness.
+func newRuntime(k int, links []LinkID, cfg Config) (*runtime, error) {
+	sideB, sideA, err := cfg.Transport.Open(len(links))
+	if err != nil {
+		return nil, err
 	}
-	return nl.send(frameRouted, encodeRoutedPayload(n.id, dst, kind, payload))
-}
-
-// recvAt surfaces the next frame addressed to node n.
-func (r *topoRun) recvAt(n *topoNode, deadline time.Duration) (routedFrame, error) {
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case rf := <-n.inbox:
-		return rf, nil
-	case <-timer.C:
-		return routedFrame{}, fmt.Errorf("netrun: node %d: no frame within %v", n.id, deadline)
-	case <-r.done:
-		// Drain a frame that raced with the close.
-		select {
-		case rf := <-n.inbox:
-			return rf, nil
-		default:
+	n := k + 1
+	r := &runtime{
+		topo:  cfg.Topology,
+		k:     k,
+		boxes: make([]*mailbox, n),
+		adj:   make([]*endpoint, n*n),
+		eps:   make([]*endpoint, 2*len(links)),
+		inj:   make([]*faults.Injector, 2*len(links)),
+	}
+	r.settled.cond.L = &r.settled.mu
+	if cfg.Faults.Enabled() {
+		for i, s := range rng.New(cfg.Seed).SplitN(2 * len(links)) {
+			r.inj[i] = cfg.Faults.NewInjector(s)
 		}
-		return routedFrame{}, ErrLinkClosed
+	}
+	// One ping-pong round puts at most one turn and k syncs into any
+	// mailbox (a ring relay sees every sync of the round), so twice that
+	// never blocks a read loop.
+	for id := range r.boxes {
+		r.boxes[id] = newMailbox(2*n + 8)
+	}
+	arq := arqConfig{timeout: cfg.Timeout, maxRetries: cfg.MaxRetries, rec: cfg.Recorder, cause: cfg.Causal}
+	for l, lid := range links {
+		b := newEndpoint(sideB[l], r.boxes[lid.B], lid.A, l, r.inj[2*l], arq)
+		a := newEndpoint(sideA[l], r.boxes[lid.A], lid.B, l, r.inj[2*l+1], arq)
+		r.eps[2*l], r.eps[2*l+1] = b, a
+		r.adj[lid.B*n+lid.A], r.adj[lid.A*n+lid.B] = b, a
+	}
+	// A route of h hops can wait through h links' worth of retransmission
+	// budgets (plus injected delays) before its frame arrives.
+	hops := max(r.topo.MaxHops(k), 1)
+	r.recvDeadline = time.Duration(hops) * (time.Duration(cfg.MaxRetries+1)*(8*cfg.Timeout+cfg.Faults.MaxDelay) + cfg.Timeout)
+	return r, nil
+}
+
+// link returns node at's endpoint toward neighbor to, or nil.
+func (r *runtime) link(at, to int) *endpoint {
+	if to < 0 || to > r.k {
+		return nil
+	}
+	return r.adj[at*(r.k+1)+to]
+}
+
+// closeAll severs every link, then joins every read loop.
+func (r *runtime) closeAll() {
+	for _, ep := range r.eps {
+		ep.shutdown()
+	}
+	for _, ep := range r.eps {
+		<-ep.loopDone
 	}
 }
 
-// serveLink is one endpoint's receive loop at node n: deliver frames
-// addressed to n, forward the rest along their route. Exits when the
-// endpoint closes.
-func (r *topoRun) serveLink(n *topoNode, ep *endpoint) {
-	const idleDeadline = time.Hour // teardown closes the link; this is a backstop
+// leave closes node id's links as its goroutine exits; on the star this
+// is how the coordinator notices a crashed player.
+func (r *runtime) leave(id int) {
+	n := r.k + 1
+	for _, ep := range r.adj[id*n : (id+1)*n] {
+		if ep != nil {
+			ep.close()
+		}
+	}
+	r.settled.exit()
+}
+
+// sendFrom routes one application frame from node at toward dst: bare
+// when the next hop is dst, inside an envelope otherwise.
+func (r *runtime) sendFrom(at, dst int, kind byte, payload []byte) error {
+	next := r.topo.NextHop(r.k, at, dst)
+	ep := r.link(at, next)
+	if ep == nil {
+		return fmt.Errorf("netrun: topology %s routes %d->%d via non-neighbor %d", r.topo.Name(), at, dst, next)
+	}
+	if next == dst {
+		return ep.send(kind, payload)
+	}
+	return ep.send(frameRouted, encodeRoutedPayload(at, dst, kind, payload))
+}
+
+// recvAt surfaces the next frame addressed to node at, with src set to
+// the node that sent it, forwarding enveloped frames addressed elsewhere
+// along their route. Envelopes that are malformed or name an unreachable
+// node are dropped.
+func (r *runtime) recvAt(at int, deadline time.Duration) (inbound, error) {
 	for {
-		in, err := ep.recv(idleDeadline)
-		if err != nil {
-			return
+		in, err := r.boxes[at].recv(deadline)
+		if err != nil || in.kind != frameRouted {
+			return in, err
 		}
-		if in.kind != frameRouted {
-			continue // not addressable; drop
-		}
-		_, dst, _, _, err := decodeRoutedPayload(in.payload)
-		if err != nil {
+		src, dst, kind, payload, err := decodeRoutedPayload(in.payload)
+		if err != nil || dst > r.k {
 			continue
 		}
-		if dst == n.id {
-			src, _, kind, payload, _ := decodeRoutedPayload(in.payload)
-			select {
-			case n.inbox <- routedFrame{src: src, kind: kind, payload: payload}:
-			case <-r.done:
-				return
-			}
+		if dst == at {
+			return inbound{src: src, kind: kind, payload: payload}, nil
+		}
+		ep := r.link(at, r.topo.NextHop(r.k, at, dst))
+		if ep == nil {
 			continue
 		}
-		next := r.topo.NextHop(r.k, n.id, dst)
-		nl, ok := n.links[next]
-		if !ok {
-			return
-		}
-		if err := nl.send(frameRouted, in.payload); err != nil {
-			return
+		if err := ep.send(frameRouted, in.payload); err != nil {
+			return inbound{}, err
 		}
 	}
 }
 
-// replicaBoard wraps a player's board replica with an out-of-order buffer
-// keyed by board index, so gossip syncs append in canonical order no
-// matter the arrival order.
-type replicaBoard struct {
+// settle counts replica appends so the coordinator can wait, without a
+// frame on the wire, until every replica holds the final board.
+type settle struct {
+	mu      sync.Mutex
+	cond    sync.Cond
+	applied int
+	exited  bool // some player goroutine returned; stop waiting
+}
+
+func (s *settle) add() {
+	s.mu.Lock()
+	s.applied++
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
+func (s *settle) exit() {
+	s.mu.Lock()
+	s.exited = true
+	s.mu.Unlock()
+	s.cond.Broadcast()
+}
+
+// wait blocks until want appends have happened or a player has exited.
+func (s *settle) wait(want int) {
+	s.mu.Lock()
+	for s.applied < want && !s.exited {
+		s.cond.Wait()
+	}
+	s.mu.Unlock()
+}
+
+// replica is a player's mirror of the board. Gossip syncs may arrive out
+// of board order; early ones wait in pending until their index comes up.
+type replica struct {
 	board   *blackboard.Board
 	pending map[int]blackboard.Message
+	settled *settle
 }
 
-func (rb *replicaBoard) apply(idx int, msg blackboard.Message) error {
-	if idx < rb.board.NumMessages() {
+func (rp *replica) apply(idx int, msg blackboard.Message) error {
+	if n := rp.board.NumMessages(); idx < n {
 		return fmt.Errorf("netrun: duplicate sync for board index %d", idx)
+	} else if idx > n {
+		if rp.pending == nil {
+			rp.pending = make(map[int]blackboard.Message)
+		}
+		rp.pending[idx] = msg
+		return nil
 	}
-	if rb.pending == nil {
-		rb.pending = make(map[int]blackboard.Message)
-	}
-	rb.pending[idx] = msg
 	for {
-		next, ok := rb.pending[rb.board.NumMessages()]
+		if err := rp.board.Append(msg); err != nil {
+			return err
+		}
+		rp.settled.add()
+		next, ok := rp.pending[rp.board.NumMessages()]
 		if !ok {
 			return nil
 		}
-		delete(rb.pending, rb.board.NumMessages())
-		if err := rb.board.Append(next); err != nil {
-			return err
-		}
+		delete(rp.pending, rp.board.NumMessages())
+		msg = next
 	}
 }
 
-// runTopology executes the protocol on the explicit-topology runtime.
-// Invoked by Run when Config.Topology is set, after the shared
-// validation; the board-level contract (transcript, bits, outcome
-// identical to blackboard.Run) is the same as the legacy path's.
-func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public *rng.Source, cfg Config) (*Result, error) {
+// run executes the protocol once Run has validated the configuration and
+// filled in its defaults.
+func run(sched blackboard.Scheduler, players []blackboard.Player, public *rng.Source, links []LinkID, cfg Config) (*Result, error) {
 	k := len(players)
-	topo := cfg.Topology
-	if k+1 > maxTopoNodes {
-		return nil, fmt.Errorf("netrun: topology runtime supports at most %d players, got %d", maxTopoNodes-1, k)
-	}
-	if len(cfg.Faults.CrashTurns) > 0 {
-		if _, ok := topo.(Star); !ok {
-			return nil, fmt.Errorf("netrun: crash faults are supported on the star topology only (a dead relay on %s severs other players' routes)", topo.Name())
-		}
-	}
-	if cfg.Delivery != DeliverBroadcast && cfg.Delivery != DeliverCoordinator {
-		return nil, fmt.Errorf("netrun: unknown delivery mode %d", cfg.Delivery)
-	}
-	links := topo.Links(k)
-	if len(links) == 0 {
-		return nil, fmt.Errorf("netrun: topology %s has no links for k=%d", topo.Name(), k)
-	}
-	seen := make(map[LinkID]bool, len(links))
-	for _, l := range links {
-		if l.A < 0 || l.B > k || l.A >= l.B {
-			return nil, fmt.Errorf("netrun: topology %s lists invalid link %v", topo.Name(), l)
-		}
-		if seen[l] {
-			return nil, fmt.Errorf("netrun: topology %s lists link %v twice", topo.Name(), l)
-		}
-		seen[l] = true
-	}
-
-	transport := cfg.Transport
-	if transport == nil {
-		transport = NewChanTransport()
-	}
-	timeout := cfg.Timeout
-	if timeout <= 0 {
-		timeout = defaultTimeout
-	}
-	maxRetries := cfg.MaxRetries
-	if maxRetries <= 0 {
-		maxRetries = defaultMaxRetries
-	}
-
 	st, err := blackboard.NewStepper(sched, k, public, cfg.Limits)
 	if err != nil {
 		return nil, err
 	}
 	st.SetRecorder(cfg.Recorder)
-
-	// One transport pair per physical link: sideA terminates at the lower
-	// node id, sideB at the higher.
-	sideA, sideB, err := transport.Open(len(links))
+	r, err := newRuntime(k, links, cfg)
 	if err != nil {
 		return nil, err
 	}
 
-	// One fault stream per link direction: A->B draws from child 2l,
-	// B->A from child 2l+1 — the same convention as the legacy path's
-	// per-player directions, keyed by link index.
-	injAB := make([]*faults.Injector, len(links))
-	injBA := make([]*faults.Injector, len(links))
-	if cfg.Faults.Enabled() {
-		streams := rng.New(cfg.Seed).SplitN(2 * len(links))
-		for l := range links {
-			injAB[l] = cfg.Faults.NewInjector(streams[2*l])
-			injBA[l] = cfg.Faults.NewInjector(streams[2*l+1])
-		}
-	}
-
-	// Both directions of link l record under netrun.topo.<l>.*, mirroring
-	// the per-link Stats breakdown which also sums the two directions.
-	epA := make([]*endpoint, len(links))
-	epB := make([]*endpoint, len(links))
-	r := &topoRun{topo: topo, k: k, done: make(chan struct{})}
-	r.nodes = make([]*topoNode, k+1)
-	for id := range r.nodes {
-		r.nodes[id] = &topoNode{id: id, links: make(map[int]*nodeLink), inbox: make(chan routedFrame, topoInboxCap)}
-	}
-	for l, lid := range links {
-		epA[l] = newEndpoint(sideA[l], injAB[l], timeout, maxRetries, cfg.Recorder, cfg.Causal, telemetry.NetrunTopo, l)
-		epB[l] = newEndpoint(sideB[l], injBA[l], timeout, maxRetries, cfg.Recorder, cfg.Causal, telemetry.NetrunTopo, l)
-		r.nodes[lid.A].links[lid.B] = &nodeLink{ep: epA[l]}
-		r.nodes[lid.B].links[lid.A] = &nodeLink{ep: epB[l]}
-	}
-	var closeOnce sync.Once
-	closeAll := func() {
-		closeOnce.Do(func() {
-			close(r.done)
-			for l := range links {
-				epA[l].close()
-				epB[l].close()
-			}
-		})
-	}
-
-	// A route of h hops can wait through h links' worth of retransmission
-	// budgets (plus injected delays) before its frame arrives.
-	hops := topo.MaxHops(k)
-	if hops < 1 {
-		hops = 1
-	}
-	r.recvDeadline = time.Duration(hops) * (time.Duration(maxRetries+1)*(8*timeout+cfg.Faults.MaxDelay) + timeout)
-
-	// runMu serializes protocol-state access exactly as on the legacy path.
+	// runMu serializes all protocol-state access: Stepper calls on the
+	// coordinator and Speak on player goroutines. The turn discipline means
+	// there is never contention; the mutex exists for the happens-before
+	// edges (shared scheduler/player state, shared public rng) that raw
+	// socket I/O does not provide.
 	var runMu sync.Mutex
 
-	replicas := make([]*replicaBoard, k)
-	for i := 0; i < k; i++ {
+	// Replicas share the canonical public source: public randomness is a
+	// shared resource in the broadcast model, and the ping-pong discipline
+	// (under runMu) makes every draw happen in sequential order.
+	replicas := make([]*replica, k)
+	for i := range replicas {
 		board, err := blackboard.NewBoard(k, public)
 		if err != nil {
-			closeAll()
+			r.closeAll()
 			return nil, err
 		}
-		replicas[i] = &replicaBoard{board: board}
+		replicas[i] = &replica{board: board, settled: &r.settled}
 	}
 
 	var wg sync.WaitGroup
-	for _, n := range r.nodes {
-		for _, nl := range n.links {
-			wg.Add(1)
-			go func(n *topoNode, ep *endpoint) {
-				defer wg.Done()
-				r.serveLink(n, ep)
-			}(n, nl.ep)
-		}
-	}
 	for i := 0; i < k; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -363,26 +305,29 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 		}(i)
 	}
 
-	coord := r.nodes[CoordinatorNode(k)]
+	coord := CoordinatorNode(k)
 	stats := Stats{
 		PerPlayer: make([]PlayerStats, k),
 		PerLink:   make([]LinkStats, len(links)),
-		Transport: transport.Name(),
-		Topology:  topo.Name(),
+		Transport: cfg.Transport.Name(),
+		Topology:  r.topo.Name(),
 	}
 	finish := func(crashed []int) *Result {
-		closeAll()
+		r.closeAll()
 		wg.Wait()
 		for l := range links {
 			ls := &stats.PerLink[l]
 			ls.Link = links[l]
-			ls.WireBits = epA[l].stats.wireBits.Load() + epB[l].stats.wireBits.Load()
-			ls.Retries = epA[l].stats.retries.Load() + epB[l].stats.retries.Load()
-			ls.BadFrames = epA[l].stats.badFrames.Load() + epB[l].stats.badFrames.Load()
-			ls.DupFrames = epA[l].stats.dupDropped.Load() + epB[l].stats.dupDropped.Load()
-			if injAB[l] != nil {
-				ls.Faults.Add(injAB[l].Counts())
-				ls.Faults.Add(injBA[l].Counts())
+			for _, ep := range r.eps[2*l : 2*l+2] {
+				ls.WireBits += ep.stats.wireBits.Load()
+				ls.Retries += ep.stats.retries.Load()
+				ls.BadFrames += ep.stats.badFrames.Load()
+				ls.DupFrames += ep.stats.dupDropped.Load()
+			}
+			for _, inj := range r.inj[2*l : 2*l+2] {
+				if inj != nil {
+					ls.Faults.Add(inj.Counts())
+				}
 			}
 			stats.WireBits += ls.WireBits
 			stats.Faults.Add(ls.Faults)
@@ -393,6 +338,8 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	crash := func(player int, cause error) (*Result, error) {
 		telemetry.Count(cfg.Recorder, telemetry.NetrunCrashes, 1)
 		if cfg.Causal.Enabled() {
+			// A crash is the unrecoverable failure of the run: mark the
+			// instant and trigger the trace's flight-recorder auto-dump.
 			cfg.Causal.Fail(causal.NetrunCrash,
 				causal.Int("player", player), causal.String("error", cause.Error()))
 		}
@@ -400,7 +347,7 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 		return res, &CrashError{Player: player, Cause: cause}
 	}
 	abort := func(err error) (*Result, error) {
-		closeAll()
+		r.closeAll()
 		wg.Wait()
 		return nil, err
 	}
@@ -413,6 +360,9 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			return abort(err)
 		}
 		if done {
+			if cfg.Delivery == DeliverBroadcast {
+				r.settled.wait(k * st.Board().NumMessages())
+			}
 			return finish(nil), nil
 		}
 
@@ -444,10 +394,12 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 			return abort(err)
 		}
 
-		// Propagate the delivered message. On gossip topologies the
-		// speaker already distributed it; in coordinator mode nobody does.
-		if cfg.Delivery == DeliverBroadcast && !topo.Gossip() {
-			syncPayload := encodeIndexedSync(st.Board().NumMessages()-1, msg)
+		// Propagate the delivered message so every replica catches up
+		// before the next turn can reach any player. On gossip topologies
+		// the speaker already distributed it; in coordinator mode nobody
+		// does.
+		if cfg.Delivery == DeliverBroadcast && !r.topo.Gossip() {
+			syncPayload := encodeMessagePayload(msg)
 			for i := 0; i < k; i++ {
 				if err := r.sendFrom(coord, i, frameSync, syncPayload); err != nil {
 					return crash(i, err)
@@ -466,33 +418,34 @@ func runTopology(sched blackboard.Scheduler, players []blackboard.Player, public
 	}
 }
 
-// playerLoop runs one player node on the topology path: apply syncs,
-// speak on turns (draining late gossip first), gossip its own message on
-// gossip topologies, and die silently on a scheduled crash turn. Closing
-// the node's endpoints on exit severs its links, which on the star
-// topology is how the coordinator notices a crash.
-func (r *topoRun) playerLoop(i int, player blackboard.Player, replica *replicaBoard, runMu *sync.Mutex, crashTurn int, mode DeliveryMode) {
-	n := r.nodes[i]
-	defer func() {
-		for _, nl := range n.links {
-			nl.ep.close()
-		}
-	}()
-	const idleDeadline = time.Hour // teardown closes the run; this is a backstop
-	coordID := CoordinatorNode(r.k)
+// playerLoop runs player node i: apply syncs, speak on turns (draining
+// late gossip first), gossip its own message on gossip topologies, relay
+// frames routed through it, and die silently on a scheduled crash turn.
+// It exits when its links go down (normal teardown closes them all).
+func (r *runtime) playerLoop(i int, player blackboard.Player, rp *replica, runMu *sync.Mutex, crashTurn int, mode DeliveryMode) {
+	defer r.leave(i)
+	coord := CoordinatorNode(r.k)
+	gossip := r.topo.Gossip()
 	turns := 0
 	fail := func(err error) {
-		r.sendFrom(n, coordID, frameErr, []byte(err.Error()))
+		r.sendFrom(i, coord, frameErr, []byte(err.Error()))
 	}
 	applySync := func(payload []byte) error {
+		if !gossip {
+			msg, err := decodeMessagePayload(payload)
+			if err != nil {
+				return err
+			}
+			return rp.apply(rp.board.NumMessages(), msg)
+		}
 		idx, msg, err := decodeIndexedSync(payload)
 		if err != nil {
 			return err
 		}
-		return replica.apply(idx, msg)
+		return rp.apply(idx, msg)
 	}
 	for {
-		rf, err := r.recvAt(n, idleDeadline)
+		rf, err := r.recvAt(i, 0)
 		if err != nil {
 			return
 		}
@@ -517,8 +470,8 @@ func (r *topoRun) playerLoop(i int, player blackboard.Player, replica *replicaBo
 			if mode == DeliverBroadcast {
 				// Drain syncs still in flight (gossip races the next turn)
 				// until the replica reaches the announced board state.
-				for replica.board.NumMessages() < want {
-					rf2, err := r.recvAt(n, r.recvDeadline)
+				for rp.board.NumMessages() < want {
+					rf2, err := r.recvAt(i, r.recvDeadline)
 					if err != nil {
 						fail(err)
 						return
@@ -532,30 +485,30 @@ func (r *topoRun) playerLoop(i int, player blackboard.Player, replica *replicaBo
 						return
 					}
 				}
-				if replica.board.NumMessages() != want {
-					fail(fmt.Errorf("netrun: replica out of sync: %d messages, coordinator has %d", replica.board.NumMessages(), want))
+				if rp.board.NumMessages() != want {
+					fail(fmt.Errorf("netrun: replica out of sync: %d messages, coordinator has %d", rp.board.NumMessages(), want))
 					return
 				}
 			}
 			runMu.Lock()
-			msg, err := player.Speak(replica.board)
+			msg, err := player.Speak(rp.board)
 			runMu.Unlock()
 			if err != nil {
 				fail(err)
 				return
 			}
 			encoded := encodeMessagePayload(msg)
-			if mode == DeliverBroadcast && r.topo.Gossip() {
+			if mode == DeliverBroadcast && gossip {
 				// Speaker-distributed sync: send the message to every peer
 				// directly, then append the canonical (round-tripped) copy
 				// to our own replica.
-				idx := replica.board.NumMessages()
+				idx := rp.board.NumMessages()
 				syncPayload := encodeIndexedSync(idx, msg)
 				for j := 0; j < r.k; j++ {
 					if j == i {
 						continue
 					}
-					if err := r.sendFrom(n, j, frameSync, syncPayload); err != nil {
+					if err := r.sendFrom(i, j, frameSync, syncPayload); err != nil {
 						return
 					}
 				}
@@ -564,12 +517,12 @@ func (r *topoRun) playerLoop(i int, player blackboard.Player, replica *replicaBo
 					fail(err)
 					return
 				}
-				if err := replica.apply(idx, canonical); err != nil {
+				if err := rp.apply(idx, canonical); err != nil {
 					fail(err)
 					return
 				}
 			}
-			if err := r.sendFrom(n, coordID, frameMsg, encoded); err != nil {
+			if err := r.sendFrom(i, coord, frameMsg, encoded); err != nil {
 				return
 			}
 		default:

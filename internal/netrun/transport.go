@@ -9,26 +9,28 @@ import (
 	"sync"
 )
 
-// Link is one endpoint of a bidirectional frame pipe between the
-// coordinator and a player. Send delivers one opaque frame to the peer;
+// Link is one endpoint of a bidirectional frame pipe between two adjacent
+// nodes. Send delivers one opaque frame to the peer;
 // Recv blocks for the next one. Links carry raw frames only — ordering,
 // acknowledgement, deduplication and fault tolerance live in the endpoint
 // layer above (wire.go). Send and Recv may be called from different
 // goroutines, but each of Send and Recv individually needs external
-// serialization (the endpoint provides it).
+// serialization (the endpoint provides it). The endpoint never modifies a
+// frame after handing it to Send, so in-process links may pass it by
+// reference.
 type Link interface {
 	Send(frame []byte) error
 	Recv() ([]byte, error)
 	Close() error
 }
 
-// Transport creates the coordinator↔player links of a run.
+// Transport creates the physical links of a run.
 type Transport interface {
 	// Name identifies the transport in stats and CLI flags.
 	Name() string
-	// Open creates k link pairs: coord[i] is the coordinator's endpoint of
-	// the link to player i, players[i] the player's endpoint of the same
-	// link.
+	// Open creates k link pairs. The runtime attaches coord[l] to link l's
+	// higher node id (the coordinator, on the star) and players[l] to its
+	// lower one (player l, on the star).
 	Open(k int) (coord, players []Link, err error)
 }
 

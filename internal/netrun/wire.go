@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -62,17 +63,19 @@ func packFrame(kind byte, seq uint32, payload []byte) []byte {
 	return f
 }
 
+// zeroCRC stands in for the crc field while the checksum is computed.
+var zeroCRC [4]byte
+
 // crcOf computes the frame checksum with the crc field treated as zero.
 func crcOf(f []byte) uint32 {
-	crc := crc32.NewIEEE()
-	crc.Write(f[:5])
-	crc.Write([]byte{0, 0, 0, 0})
-	crc.Write(f[9:])
-	return crc.Sum32()
+	crc := crc32.Update(0, crc32.IEEETable, f[:5])
+	crc = crc32.Update(crc, crc32.IEEETable, zeroCRC[:])
+	return crc32.Update(crc, crc32.IEEETable, f[9:])
 }
 
 // parseFrame validates the layout and checksum; ok=false means the frame
-// is malformed or corrupted and must be ignored.
+// is malformed or corrupted and must be ignored. Acks and nacks carry no
+// payload.
 func parseFrame(f []byte) (kind byte, seq uint32, payload []byte, ok bool) {
 	if len(f) < 9 {
 		return 0, 0, nil, false
@@ -84,7 +87,21 @@ func parseFrame(f []byte) (kind byte, seq uint32, payload []byte, ok bool) {
 	if kind < frameSync || kind > frameRouted {
 		return 0, 0, nil, false
 	}
+	if (kind == frameAck || kind == frameNack) && len(f) > 9 {
+		return 0, 0, nil, false
+	}
 	return kind, binary.BigEndian.Uint32(f[1:5]), f[9:], true
+}
+
+// uvarint decodes a minimal-length uvarint that fits an int; n == 0
+// reports a missing, overlong or out-of-range value, so every accepted
+// payload re-encodes to the same bytes.
+func uvarint(p []byte) (v, n int) {
+	u, n := binary.Uvarint(p)
+	if n <= 0 || (n > 1 && p[n-1] == 0) || u > math.MaxInt {
+		return 0, 0
+	}
+	return int(u), n
 }
 
 // encodeMessagePayload serializes a board message: uvarint player, uvarint
@@ -97,32 +114,40 @@ func encodeMessagePayload(m blackboard.Message) []byte {
 	return append(buf, m.Bits[:(m.Len+7)/8]...)
 }
 
-// decodeMessagePayload inverts encodeMessagePayload.
+// decodeMessagePayload inverts encodeMessagePayload. A player index beyond
+// the node-id range, a bit length that disagrees with the byte count, or
+// nonzero pad bits are rejected.
 func decodeMessagePayload(payload []byte) (blackboard.Message, error) {
-	player, n := binary.Uvarint(payload)
-	if n <= 0 {
+	player, n := uvarint(payload)
+	if n == 0 {
 		return blackboard.Message{}, errors.New("netrun: message payload missing player")
 	}
+	if player >= maxTopoNodes {
+		return blackboard.Message{}, fmt.Errorf("netrun: message from out-of-range player %d", player)
+	}
 	payload = payload[n:]
-	bitLen, n := binary.Uvarint(payload)
-	if n <= 0 {
+	bitLen, n := uvarint(payload)
+	if n == 0 {
 		return blackboard.Message{}, errors.New("netrun: message payload missing bit length")
 	}
 	payload = payload[n:]
-	want := (int(bitLen) + 7) / 8
-	if len(payload) != want {
+	if bitLen > 8*len(payload) || len(payload) != (bitLen+7)/8 {
 		return blackboard.Message{}, fmt.Errorf("netrun: message payload has %d bytes for %d bits", len(payload), bitLen)
 	}
-	bits := make([]byte, want)
+	if r := bitLen % 8; r != 0 && payload[len(payload)-1]&(0xff>>r) != 0 {
+		return blackboard.Message{}, errors.New("netrun: message payload has nonzero pad bits")
+	}
+	bits := make([]byte, len(payload))
 	copy(bits, payload)
-	return blackboard.Message{Player: int(player), Bits: bits, Len: int(bitLen)}, nil
+	return blackboard.Message{Player: player, Bits: bits, Len: bitLen}, nil
 }
 
 // encodeRoutedPayload wraps an application frame in a routing envelope:
-// [src 1B][dst 1B][inner kind 1B][inner payload]. The topology runtime
-// carries every application frame inside a frameRouted envelope so relay
-// nodes can forward hop by hop without understanding the inner kind; the
-// three envelope bytes are charged to the wire like any other header.
+// [src 1B][dst 1B][inner kind 1B][inner payload]. Only frames whose route
+// has more than one hop travel inside a frameRouted envelope, so relay
+// nodes can forward them without understanding the inner kind; the three
+// envelope bytes are charged to the wire like any other header. A frame
+// whose next hop is its destination travels bare.
 func encodeRoutedPayload(src, dst int, kind byte, payload []byte) []byte {
 	buf := make([]byte, 3+len(payload))
 	buf[0] = byte(src)
@@ -134,7 +159,8 @@ func encodeRoutedPayload(src, dst int, kind byte, payload []byte) []byte {
 
 // decodeRoutedPayload inverts encodeRoutedPayload. Only protocol-event
 // kinds may travel inside an envelope: acks, nacks and nested envelopes
-// are delivery-layer artifacts of a single hop.
+// are delivery-layer artifacts of a single hop. A node never routes a
+// frame to itself.
 func decodeRoutedPayload(p []byte) (src, dst int, kind byte, payload []byte, err error) {
 	if len(p) < 3 {
 		return 0, 0, 0, nil, errors.New("netrun: routed payload shorter than envelope")
@@ -143,13 +169,17 @@ func decodeRoutedPayload(p []byte) (src, dst int, kind byte, payload []byte, err
 	if kind < frameSync || kind > frameErr {
 		return 0, 0, 0, nil, fmt.Errorf("netrun: routed envelope carries invalid inner kind %d", kind)
 	}
+	if p[0] == p[1] {
+		return 0, 0, 0, nil, fmt.Errorf("netrun: routed envelope from node %d to itself", p[0])
+	}
 	return int(p[0]), int(p[1]), kind, p[3:], nil
 }
 
 // encodeIndexedSync prefixes a sync payload with the board index of the
-// message it carries. Topologies where syncs from different origins race
-// (mesh gossip) need the index to restore board order at the replica; the
-// star and ring paths carry it too so every topology shares one codec.
+// message it carries. Only gossip topologies use it: there syncs from
+// different speakers race and the index restores board order at the
+// replica. Coordinator-echoed syncs share one route per replica, arrive
+// in board order and carry the bare message payload.
 func encodeIndexedSync(index int, m blackboard.Message) []byte {
 	buf := binary.AppendUvarint(nil, uint64(index))
 	return append(buf, encodeMessagePayload(m)...)
@@ -157,15 +187,15 @@ func encodeIndexedSync(index int, m blackboard.Message) []byte {
 
 // decodeIndexedSync inverts encodeIndexedSync.
 func decodeIndexedSync(payload []byte) (int, blackboard.Message, error) {
-	idx, n := binary.Uvarint(payload)
-	if n <= 0 {
+	idx, n := uvarint(payload)
+	if n == 0 {
 		return 0, blackboard.Message{}, errors.New("netrun: sync payload missing board index")
 	}
 	msg, err := decodeMessagePayload(payload[n:])
 	if err != nil {
 		return 0, blackboard.Message{}, err
 	}
-	return int(idx), msg, nil
+	return idx, msg, nil
 }
 
 // encodeTurnPayload carries the board's message count at the moment of the
@@ -175,20 +205,89 @@ func encodeTurnPayload(numMessages int) []byte {
 }
 
 func decodeTurnPayload(payload []byte) (int, error) {
-	v, n := binary.Uvarint(payload)
-	if n <= 0 {
+	v, n := uvarint(payload)
+	if n == 0 || n != len(payload) {
 		return 0, errors.New("netrun: malformed turn payload")
 	}
-	return int(v), nil
+	return v, nil
 }
 
 // ErrDelivery wraps a frame that exhausted its retransmission budget.
 var ErrDelivery = errors.New("netrun: delivery failed")
 
-// inbound is one application frame surfaced by the delivery layer.
+// inbound is one application frame surfaced by the delivery layer. src
+// is the node at the far end of the link it arrived on; once an envelope
+// reaches its destination, the node that sent it.
 type inbound struct {
+	src     int
 	kind    byte
 	payload []byte
+}
+
+// mailbox is where every endpoint of one node delivers: a single queue of
+// inbound frames, read by the node's one application goroutine, plus a
+// signal raised when any of the node's links goes down.
+type mailbox struct {
+	frames   chan inbound
+	down     chan struct{}
+	downOnce sync.Once
+	timer    *time.Timer // recv deadline, owned by the reading goroutine
+}
+
+func newMailbox(capacity int) *mailbox {
+	return &mailbox{frames: make(chan inbound, capacity), down: make(chan struct{})}
+}
+
+func (b *mailbox) markDown() { b.downOnce.Do(func() { close(b.down) }) }
+
+// recv surfaces the next frame, waiting at most deadline (no limit when
+// deadline <= 0). A frame delivered before a link went down is still
+// returned; after that, recv fails with ErrLinkClosed.
+func (b *mailbox) recv(deadline time.Duration) (inbound, error) {
+	select {
+	case in := <-b.frames:
+		return in, nil
+	default:
+	}
+	var expired <-chan time.Time
+	if deadline > 0 {
+		// Stop on return: a pending timer keeps its channel reachable
+		// until it fires, long after the run is over.
+		expired = arm(&b.timer, deadline)
+		defer b.timer.Stop()
+	}
+	select {
+	case in := <-b.frames:
+		return in, nil
+	case <-expired:
+		return inbound{}, fmt.Errorf("netrun: no frame within %v", deadline)
+	case <-b.down:
+		select {
+		case in := <-b.frames:
+			return in, nil
+		default:
+		}
+		return inbound{}, ErrLinkClosed
+	}
+}
+
+// arm (re)starts a reusable timer. Under the timer semantics this module
+// builds with, a stopped timer can hold a stale tick; draining it keeps a
+// reused timer from expiring early. Callers stop the timer once they stop
+// waiting on it.
+func arm(t **time.Timer, d time.Duration) <-chan time.Time {
+	if *t == nil {
+		*t = time.NewTimer(d)
+		return (*t).C
+	}
+	if !(*t).Stop() {
+		select {
+		case <-(*t).C:
+		default:
+		}
+	}
+	(*t).Reset(d)
+	return (*t).C
 }
 
 // endpointStats are the per-link telemetry counters. Updated atomically:
@@ -198,6 +297,19 @@ type endpointStats struct {
 	retries    atomic.Int64 // retransmission attempts beyond the first send
 	badFrames  atomic.Int64 // frames discarded for checksum/layout failure
 	dupDropped atomic.Int64 // duplicate data frames discarded by seq check
+}
+
+// arqConfig is the delivery-layer configuration every endpoint of a run
+// shares.
+type arqConfig struct {
+	timeout    time.Duration
+	maxRetries int
+	// rec mirrors every stats update into the run's Recorder (nil:
+	// disabled).
+	rec telemetry.Recorder
+	// cause attaches hop spans, retry events and fault instants to the
+	// run's trace (zero Context: disabled).
+	cause causal.Context
 }
 
 // endpoint layers reliable, ordered, at-most-once delivery of application
@@ -227,44 +339,43 @@ type endpointStats struct {
 // are discarded silently (no re-ack): with reliable acks, a duplicate can
 // only be an injected Duplicate decision, never evidence of a lost ack.
 //
-// Exactly one goroutine calls send and one goroutine (the owner of recv)
-// consumes inbound frames; the internal read loop is the only reader of
-// the raw link.
+// Exactly one goroutine calls send; the internal read loop is the only
+// reader of the raw link and hands application frames to the owning
+// node's mailbox. Frames passed to Link.Send are never modified
+// afterwards, so delivered payloads alias the received frame.
 type endpoint struct {
-	raw        Link
-	inj        *faults.Injector // nil when link faults are disabled
-	timeout    time.Duration
-	maxRetries int
+	raw  Link
+	box  *mailbox
+	peer int              // node id at the far end, stamped on inbound frames
+	inj  *faults.Injector // nil when link faults are disabled
+	arqConfig
 
-	// rec mirrors every stats update into the run's Recorder (nil:
-	// disabled). The recorder is driven from the same statements that
-	// update the atomics — including the NACK, known-drop and timeout
-	// retransmission paths — so recorded counters and Stats never diverge.
-	// names holds the per-link metric names, precomputed so the recording
-	// path allocates nothing per event.
-	rec   telemetry.Recorder
+	// names holds the per-link metric names, precomputed so the
+	// recording path allocates nothing per event. The recorder is driven
+	// from the same statements that update the atomics — including the
+	// NACK, known-drop and timeout retransmission paths — so recorded
+	// counters and Stats never diverge.
 	names linkMetricNames
 
-	// cause attaches hop spans, retry events and fault instants to the
-	// run's trace (zero Context: disabled). linkAttr is the precomputed
-	// link attribute shared by every record this endpoint emits.
-	cause    causal.Context
+	// linkAttr is the precomputed link attribute shared by every causal
+	// record (hop spans, retry events, fault instants) this endpoint emits.
 	linkAttr causal.Attr
 
-	writeMu sync.Mutex // serializes raw.Send between data path and control path
-	sendSeq uint32     // owned by the sending goroutine
-	recvSeq uint32     // owned by the read loop
+	writeMu sync.Mutex  // serializes raw.Send between data path and control path
+	sendSeq uint32      // owned by the sending goroutine
+	timer   *time.Timer // per-attempt ARQ timer, owned by the sending goroutine
+	recvSeq uint32      // owned by the read loop
 
 	// nackPending suppresses repeat nacks until a good data frame arrives;
 	// owned by the read loop.
 	nackPending bool
 
-	dataCh chan inbound
 	ackCh  chan uint32
 	nackCh chan struct{}
 
 	closed    chan struct{}
 	closeOnce sync.Once
+	loopDone  chan struct{} // closed when the read loop has returned
 
 	stats endpointStats
 }
@@ -276,35 +387,34 @@ type linkMetricNames struct {
 	fault                                          [faults.NumKinds]string
 }
 
-// newEndpoint builds the ARQ layer over one raw link. prefix selects the
-// per-link metric family — telemetry.NetrunLink on the legacy shared-board
-// path (indexed by player), telemetry.NetrunTopo on the topology path
-// (indexed by physical link) — so the two runtimes' wire accounting stays
-// distinguishable on /metrics.
-func newEndpoint(raw Link, inj *faults.Injector, timeout time.Duration, maxRetries int, rec telemetry.Recorder, cause causal.Context, prefix string, link int) *endpoint {
+// newEndpoint builds the ARQ layer over one raw link of physical link
+// index link, delivering into box with frames stamped as coming from
+// peer. Its per-link metrics record under netrun.topo.<link>.*.
+func newEndpoint(raw Link, box *mailbox, peer, link int, inj *faults.Injector, cfg arqConfig) *endpoint {
 	ep := &endpoint{
-		raw:        raw,
-		inj:        inj,
-		timeout:    timeout,
-		maxRetries: maxRetries,
-		rec:        rec,
-		cause:      cause,
-		linkAttr:   causal.Int("link", link),
-		dataCh:     make(chan inbound, 256),
-		ackCh:      make(chan uint32, 64),
-		nackCh:     make(chan struct{}, 64),
-		closed:     make(chan struct{}),
+		raw:       raw,
+		box:       box,
+		peer:      peer,
+		inj:       inj,
+		arqConfig: cfg,
+		linkAttr:  causal.Int("link", link),
+		// Slack for acks and nacks that arrive while the sender is not
+		// waiting (stale ones are dropped when the buffer is full).
+		ackCh:    make(chan uint32, 64),
+		nackCh:   make(chan struct{}, 64),
+		closed:   make(chan struct{}),
+		loopDone: make(chan struct{}),
 	}
-	if rec != nil {
+	if cfg.rec != nil {
 		ep.names = linkMetricNames{
-			wireBits:  telemetry.Indexed(prefix, link, "wire_bits"),
-			retries:   telemetry.Indexed(prefix, link, "retries"),
-			badFrames: telemetry.Indexed(prefix, link, "bad_frames"),
-			dupFrames: telemetry.Indexed(prefix, link, "dup_frames"),
-			ackNs:     telemetry.Indexed(prefix, link, "ack_ns"),
+			wireBits:  telemetry.Indexed(telemetry.NetrunTopo, link, "wire_bits"),
+			retries:   telemetry.Indexed(telemetry.NetrunTopo, link, "retries"),
+			badFrames: telemetry.Indexed(telemetry.NetrunTopo, link, "bad_frames"),
+			dupFrames: telemetry.Indexed(telemetry.NetrunTopo, link, "dup_frames"),
+			ackNs:     telemetry.Indexed(telemetry.NetrunTopo, link, "ack_ns"),
 		}
 		for k := 0; k < faults.NumKinds; k++ {
-			ep.names.fault[k] = telemetry.Indexed(prefix, link, "faults."+faults.Kind(k).String())
+			ep.names.fault[k] = telemetry.Indexed(telemetry.NetrunTopo, link, "faults."+faults.Kind(k).String())
 		}
 	}
 	go ep.readLoop()
@@ -351,22 +461,32 @@ func (ep *endpoint) recordFault(kind faults.Kind) {
 	}
 }
 
-// close severs the endpoint; pending sends and recvs unblock with errors.
-func (ep *endpoint) close() {
+// shutdown severs the endpoint: pending sends unblock with errors and the
+// owning node's mailbox reports the link down.
+func (ep *endpoint) shutdown() {
 	ep.closeOnce.Do(func() {
 		close(ep.closed)
 		ep.raw.Close()
+		ep.box.markDown()
 	})
 }
 
-// readLoop is the sole reader of the raw link. It acks and forwards new
+// close severs the endpoint and waits for its read loop to return, so no
+// ack or counter update can land after the caller reads the stats.
+func (ep *endpoint) close() {
+	ep.shutdown()
+	<-ep.loopDone
+}
+
+// readLoop is the sole reader of the raw link. It acks and delivers new
 // data frames, nacks corrupted ones, discards duplicates, and routes acks
 // and nacks to the sender.
 func (ep *endpoint) readLoop() {
+	defer close(ep.loopDone)
 	for {
 		frame, err := ep.raw.Recv()
 		if err != nil {
-			ep.close()
+			ep.shutdown()
 			return
 		}
 		kind, seq, payload, ok := parseFrame(frame)
@@ -405,11 +525,8 @@ func (ep *endpoint) readLoop() {
 		// frame is recvSeq+1.
 		ep.recvSeq = seq
 		ep.sendControl(frameAck, seq)
-		// Copy the payload out of the frame so the consumer owns its bytes.
-		p := make([]byte, len(payload))
-		copy(p, payload)
 		select {
-		case ep.dataCh <- inbound{kind: kind, payload: p}:
+		case ep.box.frames <- inbound{src: ep.peer, kind: kind, payload: payload}:
 		case <-ep.closed:
 			return
 		}
@@ -468,18 +585,18 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 				hop.Context().Event(causal.NetrunRetry, ep.linkAttr, causal.Int("attempt", attempt))
 			}
 		}
-		delivered, err := ep.sendRaw(frame, true)
+		delivered, err := ep.sendRaw(frame)
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrDelivery, err)
 		}
 		if delivered {
-			timer := time.NewTimer(timeout)
+			expired := arm(&ep.timer, timeout)
 		await:
 			for {
 				select {
 				case ackSeq := <-ep.ackCh:
 					if ackSeq == seq {
-						timer.Stop()
+						ep.timer.Stop()
 						if ep.rec != nil {
 							// Ack latency spans first transmission to the
 							// matching ack, retransmissions included.
@@ -493,12 +610,12 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 					// duplicate); keep waiting within this attempt.
 				case <-ep.nackCh:
 					// The receiver saw a corrupted frame; retransmit now.
-					timer.Stop()
+					ep.timer.Stop()
 					break await
-				case <-timer.C:
+				case <-expired:
 					break await
 				case <-ep.closed:
-					timer.Stop()
+					ep.timer.Stop()
 					return fmt.Errorf("%w: %v", ErrDelivery, ErrLinkClosed)
 				}
 			}
@@ -516,13 +633,13 @@ func (ep *endpoint) send(kind byte, payload []byte) error {
 }
 
 // sendRaw puts one frame on the wire, applying the injector's decision
-// when faultable. A dropped frame still counts its wire bits (the sender
+// when link faults are on. A dropped frame still counts its wire bits (the sender
 // transmitted; the medium ate it), keeping the delivered-bits overhead
 // metric honest; delivered=false tells the caller to retransmit without
 // waiting, since the loss is known to this side.
-func (ep *endpoint) sendRaw(frame []byte, faultable bool) (delivered bool, err error) {
+func (ep *endpoint) sendRaw(frame []byte) (delivered bool, err error) {
 	bits := int64(8 * len(frame))
-	if !faultable || ep.inj == nil {
+	if ep.inj == nil {
 		ep.writeMu.Lock()
 		defer ep.writeMu.Unlock()
 		ep.stats.wireBits.Add(bits)
@@ -561,25 +678,4 @@ func (ep *endpoint) sendRaw(frame []byte, faultable bool) (delivered bool, err e
 		return true, ep.raw.Send(out)
 	}
 	return true, nil
-}
-
-// recv surfaces the next application frame, or an error after the deadline
-// or once the link is severed.
-func (ep *endpoint) recv(deadline time.Duration) (inbound, error) {
-	timer := time.NewTimer(deadline)
-	defer timer.Stop()
-	select {
-	case in := <-ep.dataCh:
-		return in, nil
-	case <-timer.C:
-		return inbound{}, fmt.Errorf("netrun: no frame within %v", deadline)
-	case <-ep.closed:
-		// Drain a frame that raced with the close.
-		select {
-		case in := <-ep.dataCh:
-			return in, nil
-		default:
-		}
-		return inbound{}, ErrLinkClosed
-	}
 }

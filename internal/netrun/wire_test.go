@@ -7,8 +7,6 @@ import (
 	"time"
 
 	"broadcastic/internal/blackboard"
-	"broadcastic/internal/telemetry"
-	"broadcastic/internal/telemetry/causal"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -96,8 +94,9 @@ func newEndpointPair(t *testing.T, wrapA func(Link) Link, timeout time.Duration,
 	if wrapA != nil {
 		rawA = wrapA(rawA)
 	}
-	a := newEndpoint(rawA, nil, timeout, maxRetries, nil, causal.Context{}, telemetry.NetrunLink, 0)
-	b := newEndpoint(players[0], nil, timeout, maxRetries, nil, causal.Context{}, telemetry.NetrunLink, 0)
+	arq := arqConfig{timeout: timeout, maxRetries: maxRetries}
+	a := newEndpoint(rawA, newMailbox(8), 1, 0, nil, arq)
+	b := newEndpoint(players[0], newMailbox(8), 0, 0, nil, arq)
 	t.Cleanup(func() { a.close(); b.close() })
 	return a, b
 }
@@ -107,7 +106,7 @@ func TestEndpointDelivers(t *testing.T) {
 	if err := a.send(frameSync, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	in, err := b.recv(time.Second)
+	in, err := b.box.recv(time.Second)
 	if err != nil || in.kind != frameSync || string(in.payload) != "hello" {
 		t.Fatalf("recv = %+v, %v", in, err)
 	}
@@ -121,7 +120,7 @@ func TestEndpointRetransmits(t *testing.T) {
 	if err := a.send(frameTurn, encodeTurnPayload(1)); err != nil {
 		t.Fatal(err)
 	}
-	in, err := b.recv(time.Second)
+	in, err := b.box.recv(time.Second)
 	if err != nil || in.kind != frameTurn {
 		t.Fatalf("recv = %+v, %v", in, err)
 	}
@@ -129,7 +128,7 @@ func TestEndpointRetransmits(t *testing.T) {
 		t.Fatalf("retries = %d, want 2", got)
 	}
 	// Exactly one copy must surface despite the retransmissions.
-	if _, err := b.recv(50 * time.Millisecond); err == nil {
+	if _, err := b.box.recv(50 * time.Millisecond); err == nil {
 		t.Fatal("duplicate frame surfaced")
 	}
 }
