@@ -178,6 +178,11 @@ type optimalRun struct {
 	contributions int // batches written this cycle
 	processed     int // board messages decoded so far
 
+	// code is the cycle's w-subset code over Z_i, built once per phase-1
+	// cycle and shared by Speak and decode; batch is decode's scratch.
+	code  encoding.SubsetCode
+	batch []int
+
 	answered     bool
 	disjoint     bool
 	breakdown    Breakdown
@@ -194,9 +199,9 @@ func newOptimalRun(inst *Instance, opts Options) *optimalRun {
 	}
 }
 
-// startCycle recomputes the live set from the covered map and decides the
-// phase for the next cycle.
-func (p *optimalRun) startCycle() {
+// startCycle recomputes the live set from the covered map, decides the
+// phase for the next cycle and builds its batch code.
+func (p *optimalRun) startCycle() error {
 	p.zCycle = p.zCycle[:0]
 	for j := 0; j < p.n; j++ {
 		if !p.covered[j] {
@@ -209,6 +214,10 @@ func (p *optimalRun) startCycle() {
 	p.posInCycle = 0
 	p.contributions = 0
 	p.breakdown.Cycles++
+	if p.endgame || p.opts.DisableBatching {
+		return nil
+	}
+	return p.code.Reset(z, p.w)
 }
 
 // Next implements blackboard.Scheduler.
@@ -221,7 +230,9 @@ func (p *optimalRun) Next(b *blackboard.Board) (int, bool, error) {
 	}
 	if !p.started {
 		p.started = true
-		p.startCycle()
+		if err := p.startCycle(); err != nil {
+			return 0, false, err
+		}
 	}
 	if p.coveredCount == p.n {
 		p.answered, p.disjoint = true, true
@@ -239,7 +250,9 @@ func (p *optimalRun) Next(b *blackboard.Board) (int, bool, error) {
 			p.answered, p.disjoint = true, false
 			return 0, true, nil
 		}
-		p.startCycle()
+		if err := p.startCycle(); err != nil {
+			return 0, false, err
+		}
 		if p.coveredCount == p.n {
 			p.answered, p.disjoint = true, true
 			return 0, true, nil
@@ -308,11 +321,11 @@ func (p *optimalRun) decode(m blackboard.Message) error {
 				p.cover(p.zCycle[pos])
 			}
 		} else {
-			positions, err := encoding.ReadSubsetFast(r, z, p.w)
+			p.batch, err = p.code.Read(r, p.batch)
 			if err != nil {
 				return fmt.Errorf("disj: phase-1 batch: %w", err)
 			}
-			for _, pos := range positions {
+			for _, pos := range p.batch {
 				p.cover(p.zCycle[pos])
 			}
 		}
@@ -381,7 +394,7 @@ func (pl *optimalPlayer) Speak(b *blackboard.Board) (blackboard.Message, error) 
 					return blackboard.Message{}, err
 				}
 			}
-		} else if err := encoding.WriteSubsetFast(&w, z, batch); err != nil {
+		} else if err := p.code.Write(&w, batch); err != nil {
 			return blackboard.Message{}, err
 		}
 		return blackboard.NewMessage(pl.id, &w), nil

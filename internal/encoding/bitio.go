@@ -1,9 +1,9 @@
 // Package encoding implements the bit-exact codes the protocols are charged
 // for: a bit-level writer/reader, unary and Elias gamma/delta prefix codes
 // (used by the Lemma 7 sampler's variable-length fields), fixed-width
-// integers, the combinatorial number system for encoding a w-subset of an
-// m-set in ⌈log2 C(m,w)⌉ bits (the batch encoding of the Section 5
-// protocol), and canonical Huffman codes (the classical single-shot
+// integers, the subset code that writes a w-subset of an m-set in
+// ⌈log2 C(m,w)⌉ bits (the batch encoding of the Section 5 protocol), and
+// canonical Huffman codes (the classical single-shot
 // compression reference point from the introduction).
 //
 // Communication complexity in the paper is counted in bits written on the
@@ -44,10 +44,16 @@ func (w *BitWriter) WriteBits(v uint64, width int) error {
 	if width < 64 && v>>uint(width) != 0 {
 		return fmt.Errorf("encoding: value %d does not fit in %d bits", v, width)
 	}
-	for i := width - 1; i >= 0; i-- {
-		if err := w.WriteBit(int((v >> uint(i)) & 1)); err != nil {
-			return err
+	for width > 0 {
+		if w.nbit%8 == 0 {
+			w.buf = append(w.buf, 0)
 		}
+		free := 8 - w.nbit%8
+		n := min(free, width)
+		chunk := byte(v>>uint(width-n)) & byte(1<<uint(n)-1)
+		w.buf[len(w.buf)-1] |= chunk << uint(free-n)
+		w.nbit += n
+		width -= n
 	}
 	return nil
 }
@@ -102,18 +108,23 @@ func (r *BitReader) ReadBit() (int, error) {
 	return b, nil
 }
 
-// ReadBits returns the next `width` bits as an integer, MSB first.
+// ReadBits returns the next `width` bits as an integer, MSB first. A read
+// past the end consumes nothing.
 func (r *BitReader) ReadBits(width int) (uint64, error) {
 	if width < 0 || width > 64 {
 		return 0, fmt.Errorf("encoding: bit width %d outside [0,64]", width)
 	}
+	if width > r.nbit-r.pos {
+		return 0, fmt.Errorf("encoding: read of %d bits past end of bit stream (pos %d of %d)", width, r.pos, r.nbit)
+	}
 	var v uint64
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return 0, err
-		}
-		v = v<<1 | uint64(b)
+	for width > 0 {
+		avail := 8 - r.pos%8
+		n := min(avail, width)
+		chunk := r.buf[r.pos/8] >> uint(avail-n) & byte(1<<uint(n)-1)
+		v = v<<uint(n) | uint64(chunk)
+		r.pos += n
+		width -= n
 	}
 	return v, nil
 }

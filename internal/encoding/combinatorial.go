@@ -3,13 +3,14 @@ package encoding
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 )
 
-// Combinatorial number system: a bijection between w-subsets of [0, m) and
-// integers in [0, C(m, w)). This is exactly the "encode them as a set"
-// batching device of the Section 5 protocol: a player with z_i/k fresh zero
-// coordinates inside the live set Z_i writes the subset's rank in
-// ⌈log2 C(z_i, z_i/k)⌉ bits — an amortized Θ(log k) bits per coordinate
+// Binomial coefficients and the fixed-width big-integer fields of the
+// subset code (subsetcode.go). A w-subset of [0, m) costs ⌈log2 C(m, w)⌉
+// bits: this is exactly the "encode them as a set" batching device of the
+// Section 5 protocol, where a player with z_i/k fresh zero coordinates
+// inside the live set Z_i pays an amortized Θ(log k) bits per coordinate
 // instead of the naive Θ(log n).
 
 // Binomial returns C(n, k) as a big integer (0 when k < 0 or k > n).
@@ -32,85 +33,8 @@ func BinomialBitLen(n, k int) (int, error) {
 	return cm1.BitLen(), nil
 }
 
-// SubsetRank maps a strictly increasing w-subset of [0, m) to its rank in
-// [0, C(m, w)) under the colexicographic-style combinatorial numbering
-// rank = Σ_j C(subset[j], j+1).
-func SubsetRank(m int, subset []int) (*big.Int, error) {
-	w := len(subset)
-	if w > m {
-		return nil, fmt.Errorf("encoding: subset of size %d over universe %d", w, m)
-	}
-	rank := new(big.Int)
-	prev := -1
-	for j, v := range subset {
-		if v <= prev || v < 0 || v >= m {
-			return nil, fmt.Errorf("encoding: subset not strictly increasing in [0,%d): %v", m, subset)
-		}
-		prev = v
-		rank.Add(rank, Binomial(v, j+1))
-	}
-	return rank, nil
-}
-
-// SubsetUnrank inverts SubsetRank: given m, w and a rank in [0, C(m, w)),
-// it reconstructs the strictly increasing subset.
-func SubsetUnrank(m, w int, rank *big.Int) ([]int, error) {
-	if w < 0 || w > m {
-		return nil, fmt.Errorf("encoding: subset size %d outside [0,%d]", w, m)
-	}
-	total := Binomial(m, w)
-	if rank.Sign() < 0 || rank.Cmp(total) >= 0 {
-		return nil, fmt.Errorf("encoding: rank %v outside [0, C(%d,%d)=%v)", rank, m, w, total)
-	}
-	out := make([]int, w)
-	r := new(big.Int).Set(rank)
-	v := m - 1
-	for j := w; j >= 1; j-- {
-		// Find the largest v with C(v, j) <= r.
-		for v >= 0 && Binomial(v, j).Cmp(r) > 0 {
-			v--
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("encoding: unrank failed at position %d", j)
-		}
-		out[j-1] = v
-		r.Sub(r, Binomial(v, j))
-		v--
-	}
-	if r.Sign() != 0 {
-		return nil, fmt.Errorf("encoding: unrank residual %v", r)
-	}
-	return out, nil
-}
-
-// WriteSubset encodes a strictly increasing w-subset of [0, m) into w's
-// exact bit budget ⌈log2 C(m, w)⌉. The decoder must know m and w.
-func WriteSubset(w *BitWriter, m int, subset []int) error {
-	rank, err := SubsetRank(m, subset)
-	if err != nil {
-		return err
-	}
-	width, err := BinomialBitLen(m, len(subset))
-	if err != nil {
-		return err
-	}
-	return writeBigInt(w, rank, width)
-}
-
-// ReadSubset decodes a subset written with WriteSubset.
-func ReadSubset(r *BitReader, m, size int) ([]int, error) {
-	width, err := BinomialBitLen(m, size)
-	if err != nil {
-		return nil, err
-	}
-	rank, err := readBigInt(r, width)
-	if err != nil {
-		return nil, err
-	}
-	return SubsetUnrank(m, size, rank)
-}
-
-// writeBigInt writes v as exactly width bits, MSB first.
+// writeBigInt writes v as exactly width bits, MSB first, one machine word
+// at a time.
 func writeBigInt(w *BitWriter, v *big.Int, width int) error {
 	if v.Sign() < 0 {
 		return fmt.Errorf("encoding: negative big integer")
@@ -118,26 +42,38 @@ func writeBigInt(w *BitWriter, v *big.Int, width int) error {
 	if v.BitLen() > width {
 		return fmt.Errorf("encoding: value needs %d bits, budget %d", v.BitLen(), width)
 	}
-	for i := width - 1; i >= 0; i-- {
-		if err := w.WriteBit(int(v.Bit(i))); err != nil {
+	words := v.Bits()
+	for i := (width+bits.UintSize-1)/bits.UintSize - 1; i >= 0; i-- {
+		var x uint64
+		if i < len(words) {
+			x = uint64(words[i])
+		}
+		if err := w.WriteBits(x, min(bits.UintSize, width-i*bits.UintSize)); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// readBigInt reads exactly width bits into a big integer, MSB first.
-func readBigInt(r *BitReader, width int) (*big.Int, error) {
-	v := new(big.Int)
-	for i := 0; i < width; i++ {
-		b, err := r.ReadBit()
-		if err != nil {
-			return nil, err
-		}
-		v.Lsh(v, 1)
-		if b == 1 {
-			v.Or(v, big.NewInt(1))
-		}
+// readBigInt reads exactly width bits, MSB first, into v, one machine word
+// at a time and reusing v's storage.
+func readBigInt(r *BitReader, width int, v *big.Int) error {
+	if r.Remaining() < width {
+		return fmt.Errorf("encoding: %d-bit integer past end of bit stream (%d bits left)", width, r.Remaining())
 	}
-	return v, nil
+	n := (width + bits.UintSize - 1) / bits.UintSize
+	words := v.Bits()
+	if cap(words) < n {
+		words = make([]big.Word, n)
+	}
+	words = words[:n]
+	for i := n - 1; i >= 0; i-- {
+		x, err := r.ReadBits(min(bits.UintSize, width-i*bits.UintSize))
+		if err != nil {
+			return err
+		}
+		words[i] = big.Word(x)
+	}
+	v.SetBits(words)
+	return nil
 }

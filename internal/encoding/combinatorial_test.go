@@ -43,8 +43,8 @@ func TestBinomialBitLen(t *testing.T) {
 }
 
 func TestSubsetRankBijectionExhaustive(t *testing.T) {
-	// For every (m, w) with m <= 7, every subset must rank to a distinct
-	// value in [0, C(m,w)) and unrank back to itself.
+	// The colex oracle: for every (m, w) with m <= 7, every subset must rank
+	// to a distinct value in [0, C(m,w)) and unrank back to itself.
 	for m := 0; m <= 7; m++ {
 		for w := 0; w <= m; w++ {
 			total := Binomial(m, w).Int64()
@@ -85,7 +85,7 @@ func enumerateSubsets(m, w int, visit func([]int)) {
 			visit(subset)
 			return
 		}
-		for v := start; v < m; v++ {
+		for v := start; v <= m-(w-idx); v++ {
 			subset[idx] = v
 			rec(v+1, idx+1)
 		}
@@ -126,8 +126,12 @@ func TestWriteReadSubsetProperty(t *testing.T) {
 		m := int(mRaw%60) + 1
 		w := int(wRaw) % (m + 1)
 		subset := src.SampleWithoutReplacement(m, w)
+		code, err := NewSubsetCode(m, w)
+		if err != nil {
+			return false
+		}
 		var bw BitWriter
-		if err := WriteSubset(&bw, m, subset); err != nil {
+		if err := code.Write(&bw, subset); err != nil {
 			return false
 		}
 		wantBits, err := BinomialBitLen(m, w)
@@ -135,7 +139,7 @@ func TestWriteReadSubsetProperty(t *testing.T) {
 			return false
 		}
 		r, _ := NewBitReader(bw.Bytes(), bw.Len())
-		got, err := ReadSubset(r, m, w)
+		got, err := code.Read(r, nil)
 		if err != nil {
 			return false
 		}

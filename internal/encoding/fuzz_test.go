@@ -1,6 +1,7 @@
 package encoding
 
 import (
+	"math/big"
 	"testing"
 )
 
@@ -155,61 +156,76 @@ func FuzzSignedGammaRoundTrip(f *testing.F) {
 }
 
 // FuzzSubsetRoundTrip derives a strictly increasing subset of [0, m) from
-// the mask bits, then checks rank/unrank and the bit-exact WriteSubset /
-// ReadSubset codec recover it.
+// the mask bytes (bit v%len of the mask picks v), with m up to a few
+// hundred so that split levels run as well as leaves. SubsetCode must write
+// it in exactly ⌈log₂ C(m,w)⌉ bits and read it back, and must refuse every
+// stored value in [C(m,w), 2^width): the one picked by dirty, and the
+// extremes C(m,w) and 2^width−1.
 func FuzzSubsetRoundTrip(f *testing.F) {
-	f.Add(uint8(6), uint64(0b101001))
-	f.Add(uint8(1), uint64(1))
-	f.Add(uint8(48), ^uint64(0))
-	f.Add(uint8(10), uint64(0))
-	f.Fuzz(func(t *testing.T, m uint8, mask uint64) {
-		if m > 48 {
-			m = m % 49 // keep C(m, w) cheap
-		}
+	f.Add(uint16(6), []byte{0b101001}, uint64(0))
+	f.Add(uint16(1), []byte{1}, uint64(1))
+	f.Add(uint16(48), []byte{0xff}, uint64(7))
+	f.Add(uint16(10), []byte{0}, uint64(3))
+	f.Add(uint16(300), []byte{0x11, 0, 0x80, 0x04, 0, 0, 0, 0x21}, uint64(1<<40))
+	f.Add(uint16(257), []byte{0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint64(5))
+	f.Fuzz(func(t *testing.T, m uint16, mask []byte, dirty uint64) {
+		m %= 400
 		var subset []int
-		for v := 0; v < int(m); v++ {
-			if mask>>uint(v%64)&1 == 1 {
+		for v := 0; v < int(m) && len(mask) > 0; v++ {
+			bit := v % (8 * len(mask))
+			if mask[bit/8]>>uint(bit%8)&1 == 1 {
 				subset = append(subset, v)
 			}
 		}
-		rank, err := SubsetRank(int(m), subset)
+		code, err := NewSubsetCode(int(m), len(subset))
 		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := SubsetUnrank(int(m), len(subset), rank)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(back) != len(subset) {
-			t.Fatalf("unrank size %d, want %d", len(back), len(subset))
-		}
-		for i := range subset {
-			if back[i] != subset[i] {
-				t.Fatalf("unrank mismatch at %d: %v vs %v", i, back, subset)
-			}
-		}
-		var w BitWriter
-		if err := WriteSubset(&w, int(m), subset); err != nil {
 			t.Fatal(err)
 		}
 		width, err := BinomialBitLen(int(m), len(subset))
 		if err != nil {
 			t.Fatal(err)
 		}
+		if code.Width() != width {
+			t.Fatalf("code width %d, ⌈log₂ C⌉ = %d", code.Width(), width)
+		}
+		var w BitWriter
+		if err := code.Write(&w, subset); err != nil {
+			t.Fatal(err)
+		}
 		if w.Len() != width {
-			t.Fatalf("WriteSubset used %d bits, budget is %d", w.Len(), width)
+			t.Fatalf("Write used %d bits, budget is %d", w.Len(), width)
 		}
 		r, err := NewBitReader(w.Bytes(), w.Len())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ReadSubset(r, int(m), len(subset))
+		got, err := code.Read(r, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range subset {
-			if got[i] != subset[i] {
-				t.Fatalf("codec mismatch at %d: %v vs %v", i, got, subset)
+		if !equalInts(got, subset) {
+			t.Fatalf("codec mismatch: %v vs %v", got, subset)
+		}
+
+		// Reject dirty input: the stored values no subset maps to.
+		total := Binomial(int(m), len(subset))
+		limit := new(big.Int).Lsh(big.NewInt(1), uint(width))
+		spare := new(big.Int).Sub(limit, total)
+		if spare.Sign() == 0 {
+			return
+		}
+		pick := new(big.Int).Mod(new(big.Int).SetUint64(dirty), spare)
+		for _, bad := range []*big.Int{total, pick.Add(pick, total), spare.Sub(limit, big.NewInt(1))} {
+			var bw BitWriter
+			if err := writeBigInt(&bw, bad, width); err != nil {
+				t.Fatal(err)
+			}
+			r, err := NewBitReader(bw.Bytes(), bw.Len())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := code.Read(r, nil); err == nil {
+				t.Fatalf("stored %v ≥ C(%d,%d) = %v decoded to %v", bad, m, len(subset), total, got)
 			}
 		}
 	})
@@ -222,6 +238,12 @@ func FuzzDecodeAdversarial(f *testing.F) {
 	f.Add([]byte{0xff, 0x00, 0xa5})
 	f.Add([]byte{0x00})
 	f.Add([]byte{0b01011010, 0b11110000, 0x13, 0x37})
+	// A split-level subset code: any stored value below C(300, 40) is a
+	// codeword, and it must re-encode to the very bits it was read from.
+	code, err := NewSubsetCode(300, 40)
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
 			return // keeps any decodable unary run below WriteUnary's sanity cap
@@ -245,6 +267,10 @@ func FuzzDecodeAdversarial(f *testing.F) {
 			{"unary", func(r *BitReader) (func(*BitWriter) error, error) {
 				v, err := ReadUnary(r)
 				return func(w *BitWriter) error { return WriteUnary(w, v) }, err
+			}},
+			{"subset", func(r *BitReader) (func(*BitWriter) error, error) {
+				v, err := code.Read(r, nil)
+				return func(w *BitWriter) error { return code.Write(w, v) }, err
 			}},
 		}
 		for _, c := range checks {

@@ -13,7 +13,7 @@ import (
 )
 
 // Cache is the content-addressed result store: an in-memory LRU over
-// rendered result bytes, keyed by JobSpec.Key, with an optional disk
+// rendered results, keyed by JobSpec.Key, with an optional disk
 // spill directory. Every Put writes through to the spill, so results
 // survive process restarts: NewCache warms the LRU from the directory
 // (most recent first, up to the caps), and a restarted service answers
@@ -35,9 +35,11 @@ type Cache struct {
 	rec      telemetry.Recorder
 }
 
+// cacheEntry holds a result as an immutable string, so the job records
+// that report it share its bytes instead of each keeping a copy.
 type cacheEntry struct {
 	key string
-	val []byte
+	val string
 }
 
 // NewCache builds a cache holding at most entries results and, when
@@ -106,19 +108,19 @@ func (c *Cache) warmFromSpill() {
 		if err != nil {
 			continue
 		}
-		c.byKey[f.key] = c.ll.PushBack(&cacheEntry{key: f.key, val: val})
+		c.byKey[f.key] = c.ll.PushBack(&cacheEntry{key: f.key, val: string(val)})
 		c.bytes += int64(len(val))
 		telemetry.Count(c.rec, telemetry.JobsCacheBytes, int64(len(val)))
 	}
 }
 
-// Get returns a copy of the cached result for key. Memory is consulted
-// first, then the disk spill; a spill hit is promoted back into memory.
-func (c *Cache) Get(key string) ([]byte, bool) {
+// Get returns the cached result for key. Memory is consulted first, then
+// the disk spill; a spill hit is promoted back into memory.
+func (c *Cache) Get(key string) (string, bool) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		c.ll.MoveToFront(el)
-		val := append([]byte(nil), el.Value.(*cacheEntry).val...)
+		val := el.Value.(*cacheEntry).val
 		c.mu.Unlock()
 		telemetry.Count(c.rec, telemetry.JobsCacheHits, 1)
 		return val, true
@@ -126,14 +128,15 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 	dir := c.dir
 	c.mu.Unlock()
 	if dir != "" {
-		if val, err := os.ReadFile(c.spillPath(key)); err == nil {
+		if raw, err := os.ReadFile(c.spillPath(key)); err == nil {
 			telemetry.Count(c.rec, telemetry.JobsCacheDiskHits, 1)
+			val := string(raw)
 			c.Put(key, val)
 			return val, true
 		}
 	}
 	telemetry.Count(c.rec, telemetry.JobsCacheMisses, 1)
-	return nil, false
+	return "", false
 }
 
 // Put stores the result under key — writing through to the spill
@@ -141,8 +144,7 @@ func (c *Cache) Get(key string) ([]byte, bool) {
 // and evicts least-recently-used entries until the entry and byte caps
 // hold (their disk copies remain). Storing an existing key refreshes its
 // recency and its spill file's mtime.
-func (c *Cache) Put(key string, val []byte) {
-	val = append([]byte(nil), val...)
+func (c *Cache) Put(key string, val string) {
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
 		ent := el.Value.(*cacheEntry)
@@ -165,9 +167,8 @@ func (c *Cache) Put(key string, val []byte) {
 		telemetry.Count(c.rec, telemetry.JobsCacheEvictions, 1)
 	}
 	c.mu.Unlock()
-	// Write-through outside the lock: val is this call's private copy
-	// (entries swap value slices, never mutate them), so no lock is
-	// needed and evicted entries need no separate write — their own Put
+	// Write-through outside the lock: val is immutable, so no lock is
+	// needed, and evicted entries need no separate write — their own Put
 	// already persisted them.
 	c.spillWrite(key, val)
 }
@@ -175,7 +176,7 @@ func (c *Cache) Put(key string, val []byte) {
 // spillWrite persists an entry atomically: a concurrent Get must see
 // either no file or complete bytes, never a truncated write, so the
 // value lands under a unique temp name and is renamed into place.
-func (c *Cache) spillWrite(key string, val []byte) {
+func (c *Cache) spillWrite(key string, val string) {
 	if c.dir == "" {
 		return
 	}
@@ -183,7 +184,7 @@ func (c *Cache) spillWrite(key string, val []byte) {
 	if err != nil {
 		return
 	}
-	_, werr := tmp.Write(val)
+	_, werr := tmp.WriteString(val)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		_ = os.Remove(tmp.Name())

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,12 +14,12 @@ import (
 func TestCacheLRU(t *testing.T) {
 	col := telemetry.NewCollector()
 	c := NewCache(2, 0, "", col)
-	c.Put("a", []byte("alpha"))
-	c.Put("b", []byte("beta"))
+	c.Put("a", "alpha")
+	c.Put("b", "beta")
 	if _, ok := c.Get("a"); !ok { // refresh a's recency
 		t.Fatal("a missing")
 	}
-	c.Put("c", []byte("gamma")) // evicts b, the LRU entry
+	c.Put("c", "gamma") // evicts b, the LRU entry
 	if _, ok := c.Get("b"); ok {
 		t.Error("b survived past capacity")
 	}
@@ -46,8 +47,8 @@ func TestCacheLRU(t *testing.T) {
 
 func TestCacheByteCap(t *testing.T) {
 	c := NewCache(100, 10, "", nil)
-	c.Put("a", []byte("0123456789")) // exactly at cap
-	c.Put("b", []byte("xyz"))        // pushes over; evicts a
+	c.Put("a", "0123456789") // exactly at cap
+	c.Put("b", "xyz")        // pushes over; evicts a
 	if _, ok := c.Get("a"); ok {
 		t.Error("byte cap not enforced")
 	}
@@ -56,7 +57,7 @@ func TestCacheByteCap(t *testing.T) {
 	}
 	// The newest entry alone may exceed the cap; it must still be kept
 	// (evicting it would make every oversized result uncacheable-looping).
-	c.Put("big", make([]byte, 64))
+	c.Put("big", strings.Repeat("x", 64))
 	if _, ok := c.Get("big"); !ok {
 		t.Error("oversized entry not retained as sole resident")
 	}
@@ -66,20 +67,20 @@ func TestCacheDiskSpill(t *testing.T) {
 	dir := t.TempDir()
 	col := telemetry.NewCollector()
 	c := NewCache(1, 0, dir, col)
-	c.Put("aaaa", []byte("first"))
-	c.Put("bbbb", []byte("second")) // evicts aaaa to disk
+	c.Put("aaaa", "first")
+	c.Put("bbbb", "second") // evicts aaaa to disk
 	if _, err := os.Stat(filepath.Join(dir, "aaaa.result")); err != nil {
 		t.Fatalf("spill file missing: %v", err)
 	}
 	val, ok := c.Get("aaaa") // disk hit, promoted back (evicting bbbb)
-	if !ok || string(val) != "first" {
+	if !ok || val != "first" {
 		t.Fatalf("disk readback = %q, %v", val, ok)
 	}
 	if got := col.Counter(telemetry.JobsCacheDiskHits); got != 1 {
 		t.Errorf("disk hit counter = %d", got)
 	}
 	val, ok = c.Get("bbbb")
-	if !ok || string(val) != "second" {
+	if !ok || val != "second" {
 		t.Fatalf("re-evicted entry unreadable: %q, %v", val, ok)
 	}
 	if got := c.Len(); got != 1 {
@@ -89,10 +90,10 @@ func TestCacheDiskSpill(t *testing.T) {
 
 func TestCachePutRefreshSameKey(t *testing.T) {
 	c := NewCache(4, 0, "", nil)
-	c.Put("k", []byte("one"))
-	c.Put("k", []byte("three"))
+	c.Put("k", "one")
+	c.Put("k", "three")
 	val, ok := c.Get("k")
-	if !ok || string(val) != "three" {
+	if !ok || val != "three" {
 		t.Fatalf("Get = %q, %v", val, ok)
 	}
 	if got, want := c.Bytes(), int64(len("three")); got != want {
@@ -100,23 +101,24 @@ func TestCachePutRefreshSameKey(t *testing.T) {
 	}
 }
 
+// TestCacheGetReturnsCopy: a result once returned never changes, even when
+// its key is stored again (results are immutable strings).
 func TestCacheGetReturnsCopy(t *testing.T) {
 	c := NewCache(4, 0, "", nil)
-	c.Put("k", []byte("immutable"))
+	c.Put("k", "immutable")
 	val, _ := c.Get("k")
-	val[0] = 'X'
-	again, _ := c.Get("k")
-	if string(again) != "immutable" {
-		t.Error("caller mutation reached the cached bytes")
+	c.Put("k", "replaced")
+	if again, _ := c.Get("k"); val != "immutable" || again != "replaced" {
+		t.Errorf("first Get now %q, second %q", val, again)
 	}
 }
 
 func TestCacheWarmFromSpill(t *testing.T) {
 	dir := t.TempDir()
 	old := NewCache(8, 0, dir, nil)
-	old.Put("aaaa", []byte("first"))
-	old.Put("bbbb", []byte("second"))
-	old.Put("cccc", []byte("third"))
+	old.Put("aaaa", "first")
+	old.Put("bbbb", "second")
+	old.Put("cccc", "third")
 	// Rapid writes can share an mtime; pin distinct ones so the warm
 	// order (most recent first) is deterministic in this test.
 	base := time.Now().Add(-time.Hour)
@@ -139,7 +141,7 @@ func TestCacheWarmFromSpill(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not warmed", key)
 		}
-		if want := map[string]string{"bbbb": "second", "cccc": "third"}[key]; string(val) != want {
+		if want := map[string]string{"bbbb": "second", "cccc": "third"}[key]; val != want {
 			t.Fatalf("%s = %q, want %q", key, val, want)
 		}
 	}
@@ -147,7 +149,7 @@ func TestCacheWarmFromSpill(t *testing.T) {
 		t.Errorf("warmed reads missed %d times", got)
 	}
 	// The entry past the cap stayed on disk and is still readable.
-	if val, ok := c.Get("aaaa"); !ok || string(val) != "first" {
+	if val, ok := c.Get("aaaa"); !ok || val != "first" {
 		t.Fatalf("over-cap entry lost: %q, %v", val, ok)
 	}
 	if got := col.Counter(telemetry.JobsCacheDiskHits); got != 1 {
@@ -176,8 +178,8 @@ func TestCacheConcurrentHammer(t *testing.T) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 200; i++ {
 				key := fmt.Sprintf("k%d", (g*7+i)%16)
-				c.Put(key, []byte(key+"-value"))
-				if val, ok := c.Get(key); ok && string(val) != key+"-value" {
+				c.Put(key, key+"-value")
+				if val, ok := c.Get(key); ok && val != key+"-value" {
 					t.Errorf("corrupt read %q", val)
 					return
 				}

@@ -285,7 +285,7 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 	}
 
 	tm := s.tenant(tenant)
-	var cached []byte
+	var cached string
 	hit := false
 	if s.opts.Cache != nil {
 		cached, hit = s.opts.Cache.Get(key)
@@ -324,7 +324,7 @@ func (s *Service) SubmitTraced(tenant string, spec JobSpec, cause causal.Context
 	if hit {
 		j.State = Done
 		j.CacheHit = true
-		j.Result = string(cached)
+		j.Result = cached
 		j.FinishedMs = j.SubmittedMs
 		cause.Event(causal.JobCacheHit, causal.String("job", j.ID))
 	} else {
@@ -469,8 +469,10 @@ func (s *Service) worker() {
 		exec.End()
 		span.End()
 
+		// One string serves the cache and the job record.
+		res := string(result)
 		if err == nil && s.opts.Cache != nil {
-			s.opts.Cache.Put(j.Key, result)
+			s.opts.Cache.Put(j.Key, res)
 		}
 		s.mu.Lock()
 		now := nowMs()
@@ -490,7 +492,7 @@ func (s *Service) worker() {
 			cause.Fail(causal.JobFail, causal.String("job", id), causal.String("error", err.Error()))
 		} else {
 			j.State = Done
-			j.Result = string(result)
+			j.Result = res
 			j.FinishedMs = now
 			telemetry.Count(s.opts.Recorder, telemetry.JobsCompleted, 1)
 			s.recordBitsServed(tm, len(result))

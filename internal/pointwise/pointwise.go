@@ -110,12 +110,14 @@ func SolveUnion(inst *Instance) (*Result, error) {
 	claimed := make([]bool, n)
 	var live []int // live set at the current player's turn
 
-	// One writer and position buffer serve every player in turn: players
-	// speak strictly sequentially and NewMessage copies the payload, so the
-	// scratch never escapes a turn.
+	// One writer, position buffer and subset code serve every player and
+	// the decoder in turn: turns are strictly sequential and NewMessage
+	// copies the payload, so the scratch never escapes a turn. The code
+	// keeps its memoized binomials while the live set's size is unchanged.
 	var (
 		w         encoding.BitWriter
 		positions []int
+		code      encoding.SubsetCode
 	)
 	players := make([]blackboard.Player, k)
 	for i := 0; i < k; i++ {
@@ -131,7 +133,10 @@ func SolveUnion(inst *Instance) (*Result, error) {
 			if err := encoding.WriteNonNeg(&w, uint64(len(positions))); err != nil {
 				return blackboard.Message{}, err
 			}
-			if err := encoding.WriteSubsetFast(&w, len(live), positions); err != nil {
+			if err := code.Reset(len(live), len(positions)); err != nil {
+				return blackboard.Message{}, err
+			}
+			if err := code.Write(&w, positions); err != nil {
 				return blackboard.Message{}, err
 			}
 			return blackboard.NewMessage(i, &w), nil
@@ -150,7 +155,10 @@ func SolveUnion(inst *Instance) (*Result, error) {
 			if err != nil {
 				return 0, false, fmt.Errorf("pointwise: count: %w", err)
 			}
-			positions, err := encoding.ReadSubsetFast(r, len(live), int(cnt))
+			if err := code.Reset(len(live), int(cnt)); err != nil {
+				return 0, false, fmt.Errorf("pointwise: batch: %w", err)
+			}
+			positions, err = code.Read(r, positions)
 			if err != nil {
 				return 0, false, fmt.Errorf("pointwise: batch: %w", err)
 			}
