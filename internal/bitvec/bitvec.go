@@ -225,6 +225,19 @@ func (v *Vector) AndNot(u *Vector) error {
 	return nil
 }
 
+// AndNotCount returns |v \ u|, the number of bits set in v and clear in
+// u, without modifying either.
+func (v *Vector) AndNotCount(u *Vector) (int, error) {
+	if err := v.sameUniverse(u); err != nil {
+		return 0, err
+	}
+	c := 0
+	for i, w := range v.words {
+		c += bits.OnesCount64(w &^ u.words[i])
+	}
+	return c, nil
+}
+
 // Not complements v in place.
 func (v *Vector) Not() {
 	for i := range v.words {

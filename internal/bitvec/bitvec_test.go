@@ -361,3 +361,18 @@ func TestIntersectsAllAllocationFree(t *testing.T) {
 		t.Fatalf("IntersectsAll allocates %.1f objects/call; want 0", allocs)
 	}
 }
+
+func TestAndNotCount(t *testing.T) {
+	v, _ := FromIndices(130, []int{0, 5, 63, 64, 100, 129})
+	u, _ := FromIndices(130, []int{5, 64, 128})
+	got, err := v.AndNotCount(u)
+	if err != nil || got != 4 {
+		t.Fatalf("AndNotCount = %d, %v; want 4", got, err)
+	}
+	if v.Count() != 6 || u.Count() != 3 {
+		t.Fatal("AndNotCount modified an operand")
+	}
+	if _, err := v.AndNotCount(MustNew(129)); err == nil {
+		t.Fatal("universe mismatch accepted")
+	}
+}

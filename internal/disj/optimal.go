@@ -2,6 +2,7 @@ package disj
 
 import (
 	"fmt"
+	"math/bits"
 
 	"broadcastic/internal/blackboard"
 	"broadcastic/internal/encoding"
@@ -167,8 +168,13 @@ type optimalRun struct {
 	opts Options
 	k, n int
 
-	covered      []bool
+	// covered holds one bit per coordinate on the board, 64 to a word,
+	// like the players' bitvec sets. The bits past n are set too, so they
+	// are never live. live is ^covered as it stood when the cycle started:
+	// the bits of zCycle.
+	covered      []uint64
 	coveredCount int
+	live         []uint64
 
 	started       bool
 	endgame       bool // z < k²: final naive cycle
@@ -182,6 +188,10 @@ type optimalRun struct {
 	// cycle and shared by Speak and decode; batch is decode's scratch.
 	code  encoding.SubsetCode
 	batch []int
+	// Speak's scratch: the positions in zCycle of the speaker's new
+	// zeroes, and the message writer (NewMessage copies its bytes out).
+	newZeros []int
+	msg      encoding.BitWriter
 
 	answered     bool
 	disjoint     bool
@@ -190,22 +200,29 @@ type optimalRun struct {
 }
 
 func newOptimalRun(inst *Instance, opts Options) *optimalRun {
-	return &optimalRun{
+	words := (inst.N + 63) / 64
+	p := &optimalRun{
 		inst:    inst,
 		opts:    opts,
 		k:       inst.K,
 		n:       inst.N,
-		covered: make([]bool, inst.N),
+		covered: make([]uint64, words),
+		live:    make([]uint64, words),
 	}
+	if tail := inst.N % 64; tail != 0 {
+		p.covered[words-1] = ^uint64(0) << tail
+	}
+	return p
 }
 
-// startCycle recomputes the live set from the covered map, decides the
-// phase for the next cycle and builds its batch code.
+// startCycle takes the live set from the covered words, decides the phase
+// for the next cycle and builds its batch code.
 func (p *optimalRun) startCycle() error {
 	p.zCycle = p.zCycle[:0]
-	for j := 0; j < p.n; j++ {
-		if !p.covered[j] {
-			p.zCycle = append(p.zCycle, j)
+	for i, c := range p.covered {
+		p.live[i] = ^c
+		for l := ^c; l != 0; l &= l - 1 {
+			p.zCycle = append(p.zCycle, 64*i+bits.TrailingZeros64(l))
 		}
 	}
 	z := len(p.zCycle)
@@ -343,10 +360,35 @@ func (p *optimalRun) expectEnd(r *encoding.BitReader, m blackboard.Message) erro
 }
 
 func (p *optimalRun) cover(coord int) {
-	if !p.covered[coord] {
-		p.covered[coord] = true
+	word, bit := &p.covered[coord/64], uint64(1)<<(coord%64)
+	if *word&bit == 0 {
+		*word |= bit
 		p.coveredCount++
 	}
+}
+
+// scanNewZeros returns the positions in zCycle, increasing, of player id's
+// new zeroes: live coordinates outside its set and not yet covered. It
+// stops after limit of them, or finds them all when limit < 0. It works a
+// word at a time: the new zeroes of word i are live &^ set &^ covered,
+// and a coordinate's position is the number of live bits below it.
+func (p *optimalRun) scanNewZeros(id, limit int) []int {
+	set := p.inst.Sets[id]
+	out := p.newZeros[:0]
+	base := 0 // live coordinates below word i
+scan:
+	for i, l := range p.live {
+		for nz := l &^ set.Word(i) &^ p.covered[i]; nz != 0; nz &= nz - 1 {
+			below := nz&-nz - 1
+			out = append(out, base+bits.OnesCount64(l&below))
+			if len(out) == limit {
+				break scan
+			}
+		}
+		base += bits.OnesCount64(l)
+	}
+	p.newZeros = out
+	return out
 }
 
 var _ blackboard.Scheduler = (*optimalRun)(nil)
@@ -361,17 +403,12 @@ type optimalPlayer struct {
 // Speak implements blackboard.Player.
 func (pl *optimalPlayer) Speak(b *blackboard.Board) (blackboard.Message, error) {
 	p := pl.run
-	// Positions (indices into zCycle) of this player's new zeroes.
-	var newZeros []int
-	for pos, coord := range p.zCycle {
-		if !p.inst.Sets[pl.id].Get(coord) && !p.covered[coord] {
-			newZeros = append(newZeros, pos)
-		}
-	}
-	var w encoding.BitWriter
+	w := &p.msg
+	w.Reset()
 	z := len(p.zCycle)
 	if p.endgame {
-		if err := encoding.WriteNonNeg(&w, uint64(len(newZeros))); err != nil {
+		newZeros := p.scanNewZeros(pl.id, -1)
+		if err := encoding.WriteNonNeg(w, uint64(len(newZeros))); err != nil {
 			return blackboard.Message{}, err
 		}
 		width := encoding.FixedWidth(uint64(z))
@@ -380,13 +417,12 @@ func (pl *optimalPlayer) Speak(b *blackboard.Board) (blackboard.Message, error) 
 				return blackboard.Message{}, err
 			}
 		}
-		return blackboard.NewMessage(pl.id, &w), nil
+		return blackboard.NewMessage(pl.id, w), nil
 	}
-	if len(newZeros) >= p.w {
+	if batch := p.scanNewZeros(pl.id, p.w); len(batch) == p.w {
 		if err := w.WriteBit(1); err != nil {
 			return blackboard.Message{}, err
 		}
-		batch := newZeros[:p.w]
 		if p.opts.DisableBatching {
 			width := encoding.FixedWidth(uint64(z))
 			for _, pos := range batch {
@@ -394,15 +430,15 @@ func (pl *optimalPlayer) Speak(b *blackboard.Board) (blackboard.Message, error) 
 					return blackboard.Message{}, err
 				}
 			}
-		} else if err := p.code.Write(&w, batch); err != nil {
+		} else if err := p.code.Write(w, batch); err != nil {
 			return blackboard.Message{}, err
 		}
-		return blackboard.NewMessage(pl.id, &w), nil
+		return blackboard.NewMessage(pl.id, w), nil
 	}
 	if err := w.WriteBit(0); err != nil {
 		return blackboard.Message{}, err
 	}
-	return blackboard.NewMessage(pl.id, &w), nil
+	return blackboard.NewMessage(pl.id, w), nil
 }
 
 var _ blackboard.Player = (*optimalPlayer)(nil)

@@ -3,6 +3,7 @@ package encoding
 import (
 	"fmt"
 	"math/big"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -28,7 +29,8 @@ import (
 //
 //	T(a'+1) = T(a') · (h−a')(w−a') / ((a'+1)(m−h−w+a'+1))
 //
-// A split d away from a₀ costs 2d such steps, so a subset spread like a
+// which the word kernel mulDivExact (muldiv.go) applies in one pass over
+// the words. A split d away from a₀ costs 2d such steps, so a subset spread like a
 // random one costs O(√w·b) word operations per level of the recursion and
 // O(w·b) at worst (b the codeword length), against the O(m·b) of a
 // lexicographic scan. Universes of at most leafSize elements use the colex
@@ -53,9 +55,10 @@ var pascal = func() (t [leafSize + 1][leafSize + 1]uint64) {
 	return t
 }()
 
-// maxUniverse keeps every ratio operand (a product of two values below m)
-// inside one 64-bit word.
-const maxUniverse = 1 << 31
+// maxUniverse is the largest universe. It keeps every ratio factor inside
+// 31 bits, so a product of two fits in one 64-bit word and each factor
+// alone in one 32-bit word.
+const maxUniverse = 1<<31 - 1
 
 // SubsetCode writes the w-subsets of [0, m) in exactly ⌈log₂ C(m, w)⌉ bits.
 // Build one with NewSubsetCode or Reset and keep it while (m, w) stays
@@ -72,9 +75,8 @@ type SubsetCode struct {
 	arena  []big.Word  // backing words of the rows' binomials
 	marks  []walk      // the top split's walk every markStride counts
 
-	num, den big.Int // single-word ratio operands
-	tmp      big.Int
-	value    big.Int // the rank being written or read
+	tmp   big.Int
+	value big.Int // the rank being written or read
 }
 
 // codeLevel is the scratch of one recursion depth.
@@ -103,7 +105,7 @@ func NewSubsetCode(m, w int) (*SubsetCode, error) {
 // Reset retargets the code to w-subsets of [0, m), keeping its storage.
 // The memoized binomials survive a Reset that keeps m.
 func (c *SubsetCode) Reset(m, w int) error {
-	if m < 0 || m >= maxUniverse || w < 0 || w > m {
+	if m < 0 || m > maxUniverse || w < 0 || w > m {
 		return fmt.Errorf("encoding: no %d-subsets of a universe of %d", w, m)
 	}
 	if m != c.m || c.rows == nil {
@@ -113,11 +115,28 @@ func (c *SubsetCode) Reset(m, w int) error {
 		c.m, c.w = m, w
 		c.marks = c.marks[:0]
 		c.total.SetUint64(1)
-		c.walkBinomial(&c.total, m, 0, min(w, m-w))
-		c.tmp.Sub(&c.total, c.num.SetUint64(1))
-		c.width = c.tmp.BitLen()
+		walkBinomial(&c.total, m, 0, min(w, m-w))
+		// ⌈log₂ C⌉ is C's bit length, less one when C is a power of two.
+		c.width = c.total.BitLen()
+		if c.total.TrailingZeroBits() == uint(c.width-1) {
+			c.width--
+		}
+		c.reserve()
 	}
 	return nil
+}
+
+// reserve sizes the integers that grow to about C(m, w) whatever the
+// subset, the binomial walk's scratch and the top split's walk, so that the
+// first codewords do not grow them a word at a time.
+func (c *SubsetCode) reserve() {
+	words := c.width/bits.UintSize + 2
+	top := &c.levels[0].walk
+	for _, x := range []*big.Int{&c.tmp, &top.tu, &top.td, &top.t, &top.sum} {
+		if cap(x.Bits()) < words {
+			x.SetBits(append(make([]big.Word, 0, words), x.Bits()...))
+		}
+	}
 }
 
 // resetRows sizes the rows and per-depth scratch for universe m: node sizes
@@ -278,6 +297,9 @@ func (c *SubsetCode) unrankNode(out []int, lo, m int, v *big.Int, d int) error {
 			break
 		}
 		rem.Sub(rem, t)
+		if d > 0 {
+			t = nil // only the top node's walk is resumed from its sum
+		}
 		c.pass(wk, d, s, next, t)
 	}
 	h := s.h
@@ -350,9 +372,9 @@ func (w *walk) next(s split) (a int, ok bool) {
 func (c *SubsetCode) term(w *walk, s split, a int) *big.Int {
 	switch {
 	case a > s.a0: // T(a) = T(a−1) · (h−a+1)(w−a+1) / (a(m−h−w+a))
-		c.ratio(&w.t, &w.tu, uint64(s.h-a+1)*uint64(s.w-a+1), uint64(a)*uint64(s.rightFree+a))
+		ratio(&w.t, &w.tu, s.h-a+1, s.w-a+1, a, s.rightFree+a)
 	case a < s.a0: // T(a) = T(a+1) · (a+1)(m−h−w+a+1) / ((h−a)(w−a))
-		c.ratio(&w.t, &w.td, uint64(a+1)*uint64(s.rightFree+a+1), uint64(s.h-a)*uint64(s.w-a))
+		ratio(&w.t, &w.td, a+1, s.rightFree+a+1, s.h-a, s.w-a)
 	default:
 		return &w.tu
 	}
@@ -360,9 +382,12 @@ func (c *SubsetCode) term(w *walk, s split, a int) *big.Int {
 }
 
 // pass adds t = T(a), a = w.next(s), to the walk's sum and moves past a. At
-// the top node it records the walk's state every markStride counts.
+// the top node it records the walk's state every markStride counts. A nil t
+// leaves the sum alone, for a walk whose sum is not read again.
 func (c *SubsetCode) pass(w *walk, d int, s split, a int, t *big.Int) {
-	w.sum.Add(&w.sum, t)
+	if t != nil {
+		w.sum.Add(&w.sum, t)
+	}
 	switch {
 	case a > s.a0:
 		w.u++
@@ -413,12 +438,19 @@ func (w *walk) set(x *walk) {
 	w.sum.Set(&x.sum)
 }
 
-// ratio sets dst = x·num/den, a division the callers know to be exact.
-func (c *SubsetCode) ratio(dst, x *big.Int, num, den uint64) {
-	c.num.SetUint64(num)
-	c.den.SetUint64(den)
-	dst.Mul(x, &c.num)
-	dst.Quo(dst, &c.den)
+// ratio sets dst = x·(n1·n2)/(d1·d2), a division the callers know to be
+// exact. Every factor is at least 1 and at most maxUniverse. With 64-bit
+// words it is one mulDivExact pass. With 32-bit words the products need
+// two words, so the factors go in one word at a time; each step is still
+// exact, since d1 divides x·n1·n2 and then d2 divides x·n1·n2/d1.
+func ratio(dst, x *big.Int, n1, n2, d1, d2 int) {
+	if bits.UintSize == 64 {
+		mulDivExact(dst, x, uint(n1)*uint(n2), uint(d1)*uint(d2))
+		return
+	}
+	mulDivExact(dst, x, uint(n1), 1)
+	mulDivExact(dst, dst, uint(n2), uint(d1))
+	mulDivExact(dst, dst, 1, uint(d2))
 }
 
 // binom returns C(n, k) for a node size n at depth d, from the memo row of
@@ -450,7 +482,7 @@ func (c *SubsetCode) binom(d, n, k int) *big.Int {
 		}
 		from = hi
 	}
-	c.walkBinomial(x, n, from, k)
+	walkBinomial(x, n, from, k)
 	row.vals = c.store(row.vals, x)
 	row.cs = slices.Insert(row.cs, i, k)
 	row.at = slices.Insert(row.at, i, len(row.vals)-1)
@@ -462,18 +494,18 @@ func (c *SubsetCode) binom(d, n, k int) *big.Int {
 //
 //	C(n, j+2) = C(n, j)·(n−j)(n−j−1) / ((j+1)(j+2))
 //	C(n, j−2) = C(n, j)·j(j−1) / ((n−j+1)(n−j+2))
-func (c *SubsetCode) walkBinomial(x *big.Int, n, j, k int) {
+func walkBinomial(x *big.Int, n, j, k int) {
 	for ; j+2 <= k; j += 2 {
-		c.ratio(x, x, uint64(n-j)*uint64(n-j-1), uint64(j+1)*uint64(j+2))
+		ratio(x, x, n-j, n-j-1, j+1, j+2)
 	}
 	if j < k {
-		c.ratio(x, x, uint64(n-j), uint64(j+1))
+		ratio(x, x, n-j, 1, j+1, 1)
 	}
 	for ; j-2 >= k; j -= 2 {
-		c.ratio(x, x, uint64(j)*uint64(j-1), uint64(n-j+1)*uint64(n-j+2))
+		ratio(x, x, j, j-1, n-j+1, n-j+2)
 	}
 	if j > k {
-		c.ratio(x, x, uint64(j), uint64(n-j+1))
+		ratio(x, x, j, 1, n-j+1, 1)
 	}
 }
 

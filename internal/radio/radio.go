@@ -29,6 +29,7 @@ package radio
 import (
 	"fmt"
 
+	"broadcastic/internal/bitvec"
 	"broadcastic/internal/disj"
 	"broadcastic/internal/encoding"
 	"broadcastic/internal/rng"
@@ -111,9 +112,39 @@ func ContentionDisj(inst *disj.Instance, payloadBits int, src *rng.Source) (*dis
 	n, k := inst.N, inst.K
 	report := &SlotReport{}
 
-	covered := make([]bool, n)
-	coveredCount := 0
-	live := make([]int, 0, n)
+	// live holds the coordinates not yet on the board; station i's new
+	// zeroes are live \ X_i. Only a capture changes live, so the counts
+	// are recomputed after captures only, and a capture covers the
+	// winner's new zeroes by live ∩= X_winner.
+	live, err := bitvec.New(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	live.SetAll()
+	z := n
+	counts := make([]int, k)        // new zeroes per station
+	contenders := make([]int, 0, k) // stations holding any, ascending
+	recount := func() error {
+		z = live.Count()
+		contenders = contenders[:0]
+		for i := range k {
+			c, err := live.AndNotCount(inst.Sets[i])
+			if err != nil {
+				return err
+			}
+			if counts[i] = c; c > 0 {
+				contenders = append(contenders, i)
+			}
+		}
+		return nil
+	}
+	if err := recount(); err != nil {
+		return nil, nil, err
+	}
+	// Per slot of the window: how many contenders chose it, and the
+	// first of them.
+	slotLoad := make([]int, k)
+	slotFirst := make([]int, k)
 	window := 1
 
 	// Safety bound: at most k captures, expected O(log k) windows between
@@ -124,57 +155,34 @@ func ContentionDisj(inst *disj.Instance, payloadBits int, src *rng.Source) (*dis
 		if round > maxWindows {
 			return nil, nil, fmt.Errorf("radio: contention did not converge in %d windows", maxWindows)
 		}
-		if coveredCount == n {
+		if z == 0 {
 			return &disj.Outcome{Disjoint: true, Bits: report.Bits}, report, nil
-		}
-		// Public state recomputed from the board.
-		live = live[:0]
-		for j := 0; j < n; j++ {
-			if !covered[j] {
-				live = append(live, j)
-			}
-		}
-		z := len(live)
-
-		// Which stations still hold new zeroes (each computes privately).
-		type contender struct {
-			station   int
-			positions []int // indices into live of all its new zeroes
-		}
-		var contenders []contender
-		for i := 0; i < k; i++ {
-			var positions []int
-			for pos, coord := range live {
-				if !inst.Sets[i].Get(coord) {
-					positions = append(positions, pos)
-				}
-			}
-			if len(positions) > 0 {
-				contenders = append(contenders, contender{station: i, positions: positions})
-			}
 		}
 
 		// One contention window. Every contender transmits in exactly one
 		// slot, so a fully silent window certifies there are no contenders.
-		choice := make(map[int][]int, window)
-		for ci := range contenders {
+		clear(slotLoad[:window])
+		for _, station := range contenders {
 			s := src.Intn(window)
-			choice[s] = append(choice[s], ci)
+			if slotLoad[s] == 0 {
+				slotFirst[s] = station
+			}
+			slotLoad[s]++
 		}
 		transmissions := false
 		won := false
 		for s := 0; s < window && !won; s++ {
 			report.ControlSlots++
-			switch len(choice[s]) {
+			switch slotLoad[s] {
 			case 0:
 				report.IdleSlots++
 			case 1:
 				transmissions = true
 				won = true
-				c := contenders[choice[s][0]]
+				winner := slotFirst[s]
 				bits := encoding.FixedWidth(uint64(k)) // station id preamble
-				bits += encoding.NonNegLen(uint64(len(c.positions)))
-				batchBits, err := encoding.BinomialBitLen(z, len(c.positions))
+				bits += encoding.NonNegLen(uint64(counts[winner]))
+				batchBits, err := encoding.BinomialBitLen(z, counts[winner])
 				if err != nil {
 					return nil, nil, err
 				}
@@ -182,12 +190,11 @@ func ContentionDisj(inst *disj.Instance, payloadBits int, src *rng.Source) (*dis
 				report.DataSlots += dataSlots(bits, payloadBits)
 				report.Bits += bits
 				report.ContentionWins++
-				for _, pos := range c.positions {
-					coord := live[pos]
-					if !covered[coord] {
-						covered[coord] = true
-						coveredCount++
-					}
+				if err := live.And(inst.Sets[winner]); err != nil {
+					return nil, nil, err
+				}
+				if err := recount(); err != nil {
+					return nil, nil, err
 				}
 			default:
 				transmissions = true
